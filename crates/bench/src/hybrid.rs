@@ -12,7 +12,7 @@ use pdac_core::edac::ElectricalDac;
 use pdac_core::pdac::PDac;
 use pdac_nn::config::TransformerConfig;
 use pdac_nn::inference::{fidelity_study, TransformerModel};
-use pdac_nn::{AnalogGemm, AsymmetricGemm, ExactGemm};
+use pdac_nn::{AnalogGemm, ExactGemm};
 use pdac_power::model::{power_saving, DriverKind, PowerModel};
 use pdac_power::{ArchConfig, TechParams};
 
@@ -48,7 +48,7 @@ pub fn pareto(samples: usize) -> Vec<DesignPoint> {
                 fidelity_study(&model, &ExactGemm, &backend, samples).mean_sqnr_db
             }
             DriverKind::Hybrid => {
-                let backend = AsymmetricGemm::new(
+                let backend = AnalogGemm::hybrid(
                     PDac::with_optimal_approx(8).expect("valid"),
                     ElectricalDac::new(8).expect("valid"),
                     name,

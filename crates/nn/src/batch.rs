@@ -654,7 +654,7 @@ impl TransformerModel {
 mod tests {
     use super::*;
     use crate::config::TransformerConfig;
-    use crate::gemm::{AnalogGemm, AsymmetricGemm, ExactGemm};
+    use crate::gemm::{AnalogGemm, ExactGemm};
     use pdac_core::edac::ElectricalDac;
     use pdac_core::pdac::PDac;
 
@@ -699,8 +699,8 @@ mod tests {
     }
 
     #[test]
-    fn asymmetric_batch_rows_bit_identical_to_decode_step() {
-        let b = AsymmetricGemm::new(
+    fn hybrid_batch_rows_bit_identical_to_decode_step() {
+        let b = AnalogGemm::hybrid(
             ElectricalDac::new(8).unwrap(),
             PDac::with_optimal_approx(8).unwrap(),
             "edac-act/pdac-wt",

@@ -1,211 +1,26 @@
 //! Pluggable GEMM backends.
 //!
-//! The accelerator's matrix multiplies can run in three fidelity regimes:
+//! The accelerator's matrix multiplies run in two fidelity regimes:
 //!
 //! * [`ExactGemm`] — full-precision `f64` reference,
-//! * [`AnalogGemm`] — operands quantized and pushed through an
-//!   [`MzmDriver`] (P-DAC or electrical DAC) before the dot product.
-//!   The photonic DDot itself computes the dot product exactly (see
-//!   `pdac-photonics`), so the analog error is entirely in the operand
-//!   modulation — exactly the paper's error model.
+//! * [`AnalogGemm`] — operands quantized and pushed through a converter
+//!   drive path before the dot product: one [`MzmDriver`] for the
+//!   activation side, one for the weight side (P-DAC, electrical DAC, or
+//!   the hybrid pair). The photonic DDot itself computes the dot product
+//!   exactly (see `pdac-photonics`), so the analog error is entirely in
+//!   the operand modulation — exactly the paper's error model.
 //!
 //! The [`GemmBackend`] trait lets the same transformer forward pass run in
 //! any regime; the fidelity study diffs their outputs.
 
-use crate::prepared::{PreparedOperand, WeightCache};
+use crate::prepared::WeightCache;
 use crate::quant::{self, GroupQuantizedMat, QuantizedMat, RowQuantizedMat};
 use pdac_core::converter::MzmDriver;
-use pdac_core::lut::{fill_product_table, ConverterLut};
+use pdac_core::lut::ConverterLut;
 use pdac_math::gemm::{default_threads, PackedB};
 use pdac_math::gemm_i8::{self, PackedBi8};
 use pdac_math::Mat;
 use std::cell::RefCell;
-
-/// Reusable scratch for the integer and product-LUT routes (activation
-/// codes, integer accumulators, the per-call product table), so the
-/// decode hot path allocates nothing after warm-up.
-#[derive(Debug, Default)]
-struct IntScratch {
-    a_codes: Vec<i16>,
-    a_scales: Vec<f64>,
-    b_codes: Vec<i16>,
-    b_scales: Vec<f64>,
-    acc: Vec<i32>,
-    a_idx: Vec<u16>,
-    table: Vec<f64>,
-}
-
-/// The dequantize-at-the-end contract shared by every integer-route
-/// variant: with `acc = Σ ca·cb` exact in `i32`, row `r` of the output is
-/// `fl(f_r · acc)` where `f_r = fl(fl(s_a_r / m) · fl(s_b / m))` and `m`
-/// is the max code — two scale roundings and one final multiply per
-/// element, applied **once**, after the exact integer contraction
-/// (DESIGN.md §16).
-#[inline]
-fn dequantize_acc(acc: &[i32], n: usize, factor: impl Fn(usize) -> f64, out: &mut [f64]) {
-    for (r, (out_row, acc_row)) in out.chunks_exact_mut(n).zip(acc.chunks_exact(n)).enumerate() {
-        let f = factor(r);
-        for (o, &v) in out_row.iter_mut().zip(acc_row) {
-            *o = f * v as f64;
-        }
-    }
-}
-
-/// Integer route, cached-weight form: quantize activations to codes
-/// (per-tensor or per-row scales), run the exact `i32` kernel against
-/// the weight's memoized code panels, dequantize once at the end.
-fn int8_matmul_cached(
-    a: &Mat,
-    bq: &PreparedOperand,
-    bits: u8,
-    per_row: bool,
-    sc: &mut IntScratch,
-    out: &mut Mat,
-) {
-    let (m, k) = a.shape();
-    let n = bq.converted().cols();
-    assert_eq!(k, bq.converted().rows(), "inner dimensions must agree");
-    if per_row {
-        quant::quantize_blocks_i16(a, 1, bits, &mut sc.a_codes, &mut sc.a_scales);
-    } else {
-        let s = quant::quantize_tensor_i16(a.as_slice(), bits, &mut sc.a_codes);
-        sc.a_scales.clear();
-        sc.a_scales.push(s);
-    }
-    sc.acc.clear();
-    sc.acc.resize(m * n, 0);
-    gemm_i8::gemm_i8_prepacked(
-        &sc.a_codes,
-        bq.packed_codes(),
-        m,
-        &mut sc.acc,
-        default_threads(),
-    );
-    let mc = ((1i32 << (bits - 1)) - 1) as f64;
-    let db = bq.code_scale() / mc;
-    out.resize(m, n);
-    let scales = &sc.a_scales;
-    dequantize_acc(
-        &sc.acc,
-        n,
-        |r| (scales[if per_row { r } else { 0 }] / mc) * db,
-        out.as_mut_slice(),
-    );
-}
-
-/// Integer route, transient form: both operands quantize fresh
-/// (per-tensor scales, exactly what the cache would have produced), the
-/// right side packs per call — a `k·n` i16 write pass, cheaper than the
-/// `k·n` f64 convert pass it replaces.
-fn int8_matmul_transient(a: &Mat, b: &Mat, bits: u8, sc: &mut IntScratch, out: &mut Mat) {
-    let (m, k) = a.shape();
-    let n = b.cols();
-    assert_eq!(k, b.rows(), "inner dimensions must agree");
-    let s_a = quant::quantize_tensor_i16(a.as_slice(), bits, &mut sc.a_codes);
-    let s_b = quant::quantize_tensor_i16(b.as_slice(), bits, &mut sc.b_codes);
-    let packed = PackedBi8::pack(&sc.b_codes, k, n);
-    sc.acc.clear();
-    sc.acc.resize(m * n, 0);
-    gemm_i8::gemm_i8_prepacked(&sc.a_codes, &packed, m, &mut sc.acc, default_threads());
-    let mc = ((1i32 << (bits - 1)) - 1) as f64;
-    let f = (s_a / mc) * (s_b / mc);
-    out.resize(m, n);
-    dequantize_acc(&sc.acc, n, |_| f, out.as_mut_slice());
-}
-
-/// Integer route, grouped form: per-row activation scales, per-block
-/// stacked-operand scales (the solo transient rule applied block by
-/// block), one grouped integer kernel dispatch.
-fn int8_matmul_grouped(a: &Mat, b: &Mat, bits: u8, sc: &mut IntScratch, out: &mut Mat) {
-    let (g, k) = a.shape();
-    let n = b.cols();
-    assert_eq!(b.rows(), g * k, "stacked operand row count");
-    quant::quantize_blocks_i16(a, 1, bits, &mut sc.a_codes, &mut sc.a_scales);
-    quant::quantize_blocks_i16(b, k, bits, &mut sc.b_codes, &mut sc.b_scales);
-    sc.acc.clear();
-    sc.acc.resize(g * n, 0);
-    gemm_i8::gemm_i8_grouped(
-        &sc.a_codes,
-        &sc.b_codes,
-        g,
-        k,
-        n,
-        &mut sc.acc,
-        default_threads(),
-    );
-    let mc = ((1i32 << (bits - 1)) - 1) as f64;
-    out.resize(g, n);
-    let (a_scales, b_scales) = (&sc.a_scales, &sc.b_scales);
-    dequantize_acc(
-        &sc.acc,
-        n,
-        |r| (a_scales[r] / mc) * (b_scales[r] / mc),
-        out.as_mut_slice(),
-    );
-}
-
-/// Product-LUT route, cached-weight form: gather precomputed code-pair
-/// products (per-call scales folded into the table) in the f64 path's
-/// exact per-cell reduction order — bit-identical to
-/// quantize→LUT-dequantize→matmul for **any** driver, while streaming
-/// byte codes instead of f64 amplitudes. Per-row scales rebuild the
-/// table per row (the table is scale-dependent); the route is gated on
-/// operand size precisely because of that rebuild cost.
-fn lut_matmul_cached(
-    a: &Mat,
-    bq: &PreparedOperand,
-    lut_a: &ConverterLut,
-    lut_b: &ConverterLut,
-    per_row: bool,
-    sc: &mut IntScratch,
-    out: &mut Mat,
-) {
-    let (m, k) = a.shape();
-    let n = bq.converted().cols();
-    assert_eq!(k, bq.converted().rows(), "inner dimensions must agree");
-    let bits = lut_a.bits();
-    if per_row {
-        quant::quantize_blocks_i16(a, 1, bits, &mut sc.a_codes, &mut sc.a_scales);
-    } else {
-        let s = quant::quantize_tensor_i16(a.as_slice(), bits, &mut sc.a_codes);
-        sc.a_scales.clear();
-        sc.a_scales.push(s);
-    }
-    let mc = lut_a.max_code() as i16;
-    sc.a_idx.clear();
-    sc.a_idx
-        .extend(sc.a_codes.iter().map(|&c| ((c + mc) as u16) << 8));
-    let b_idx = bq.biased_codes();
-    let threads = default_threads();
-    out.resize(m, n);
-    if per_row {
-        for r in 0..m {
-            fill_product_table(lut_a, sc.a_scales[r], lut_b, bq.code_scale(), &mut sc.table);
-            gemm_i8::gemm_product_lut(
-                &sc.a_idx[r * k..(r + 1) * k],
-                b_idx,
-                1,
-                k,
-                n,
-                &sc.table,
-                out.row_slice_mut(r),
-                threads,
-            );
-        }
-    } else {
-        fill_product_table(lut_a, sc.a_scales[0], lut_b, bq.code_scale(), &mut sc.table);
-        gemm_i8::gemm_product_lut(
-            &sc.a_idx,
-            b_idx,
-            m,
-            k,
-            n,
-            &sc.table,
-            out.as_mut_slice(),
-            threads,
-        );
-    }
-}
 
 /// A matrix-multiply backend.
 pub trait GemmBackend {
@@ -403,347 +218,116 @@ impl GemmBackend for ExactGemm {
     }
 }
 
-/// Analog GEMM through a converter drive path: quantize both operands
-/// per-tensor, dequantize through the driver (injecting its conversion
-/// error), then multiply exactly (the DDot identity).
-///
-/// The driver is tabulated once into a [`ConverterLut`] at construction,
-/// so per-call conversion is an array read rather than a full drive-path
-/// evaluation, and the right-hand (weight-like) operand is memoized in a
-/// [`WeightCache`] so repeated multiplies against the same weights —
-/// every decode step of generative inference — skip quantize+convert
-/// entirely. Both shortcuts are bit-identical to the direct path.
-///
-/// Two further routes exist below the f64 pipeline (DESIGN.md §16):
-///
-/// * **Integer route** — when the drive path is exactly code-linear
-///   ([`ConverterLut::is_code_linear`], i.e. the ideal digital
-///   reference, `pdac_core::IdealDac`) at ≤ 8 bits, the dequantized
-///   product factors into `scale_a·scale_b/m² · Σ ca·cb` and every
-///   multiply runs in the exact byte-size integer engine
-///   (`pdac_math::gemm_i8`) with one dequantize at the end. Taken
-///   automatically; physical drivers never qualify, so their modeled
-///   conversion error is untouched.
-/// * **Product-LUT route** — for *any* ≤ 8-bit driver, the per-term
-///   product `fl(fl(s_a·A[ca])·fl(s_b·B[cb]))` is a function of the two
-///   codes alone, so a 64 Ki-entry table gathered in ascending-`k`
-///   order reproduces the f64 pipeline bit for bit while streaming byte
-///   codes instead of f64 amplitudes. Opt-in via
-///   [`Self::with_product_lut_floor`] because it only wins on
-///   memory-bound shapes.
-#[derive(Debug)]
-pub struct AnalogGemm<D> {
-    driver: D,
-    lut: ConverterLut,
-    cache: WeightCache,
-    name: String,
-    code_linear: bool,
-    product_lut_floor: usize,
-    scratch: RefCell<IntScratch>,
+/// Reusable scratch for the integer route (operand codes, scales and
+/// `i32` accumulators), so the decode hot path allocates nothing after
+/// warm-up.
+#[derive(Debug, Default, Clone)]
+struct IntScratch {
+    a_codes: Vec<i16>,
+    a_scales: Vec<f64>,
+    b_codes: Vec<i16>,
+    b_scales: Vec<f64>,
+    acc: Vec<i32>,
 }
 
-impl<D: Clone> Clone for AnalogGemm<D> {
-    /// Clones share the cache contents but start with fresh (empty,
-    /// re-growable) integer-route scratch.
-    fn clone(&self) -> Self {
-        Self {
-            driver: self.driver.clone(),
-            lut: self.lut.clone(),
-            cache: self.cache.clone(),
-            name: self.name.clone(),
-            code_linear: self.code_linear,
-            product_lut_floor: self.product_lut_floor,
-            scratch: RefCell::new(IntScratch::default()),
-        }
-    }
+/// What the right operand of an analog call is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Operand {
+    /// A model weight: quantized and converted once, then answered from
+    /// the [`WeightCache`].
+    Weight,
+    /// Built for this call and dead after it (attention keys/values):
+    /// quantized and converted fresh, never cached.
+    Transient,
 }
 
-impl<D: MzmDriver> AnalogGemm<D> {
-    /// Wraps a driver.
-    pub fn new(driver: D, name: impl Into<String>) -> Self {
-        let lut = ConverterLut::new(&driver);
-        let code_linear = lut.is_code_linear();
-        Self {
-            driver,
-            lut,
-            cache: WeightCache::default(),
-            name: name.into(),
-            code_linear,
-            product_lut_floor: usize::MAX,
-            scratch: RefCell::new(IntScratch::default()),
-        }
-    }
-
-    /// Opts cached-weight multiplies into the product-LUT gather route
-    /// whenever the right operand holds at least `floor_bytes` of `f64`
-    /// data (`k·n·8`). The route is bit-identical to the default f64
-    /// pipeline for every driver (see `pdac_core::lut::fill_product_table`),
-    /// so the floor trades nothing but speed: below it the tuned f64
-    /// kernels win on compute-bound shapes, above it streaming byte codes
-    /// wins on memory-bound ones. `0` forces the route everywhere (the
-    /// conformance suite does this); the default `usize::MAX` disables it.
-    pub fn with_product_lut_floor(mut self, floor_bytes: usize) -> Self {
-        self.product_lut_floor = floor_bytes;
-        self
-    }
-
-    /// The wrapped driver.
-    pub fn driver(&self) -> &D {
-        &self.driver
-    }
-
-    /// The driver's dense code → amplitude table.
-    pub fn lut(&self) -> &ConverterLut {
-        &self.lut
-    }
-
-    /// The weight-conversion cache (for hit/miss inspection).
-    pub fn cache(&self) -> &WeightCache {
-        &self.cache
-    }
-
-    /// Whether the exact integer route serves a `k`-deep contraction.
-    /// Deliberately a function of shape only (never of operand values),
-    /// so batched/grouped calls route identically to their solo twins.
-    fn use_int8(&self, k: usize) -> bool {
-        self.code_linear && self.lut.bits() <= 8 && k <= gemm_i8::MAX_K_I8
-    }
-
-    /// Whether the product-LUT route serves a `k×n` right operand.
-    fn use_product_lut(&self, k: usize, n: usize) -> bool {
-        self.lut.bits() <= 8
-            && k.checked_mul(n)
-                .and_then(|cells| cells.checked_mul(std::mem::size_of::<f64>()))
-                .is_some_and(|bytes| bytes >= self.product_lut_floor)
-    }
+/// How an analog call assigns quantization scales.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rows {
+    /// One scale per operand — the solo rule.
+    Tensor,
+    /// One activation scale per row (independent sequences), one scale
+    /// for the right operand.
+    PerRow,
+    /// One activation scale per row and one per stacked `k × n` block of
+    /// the right operand: row `g` is its own solo transient product.
+    Grouped,
 }
 
-impl<D: MzmDriver> GemmBackend for AnalogGemm<D> {
-    fn matmul(&self, a: &Mat, b: &Mat) -> Mat {
-        let mut out = Mat::zeros(1, 1);
-        self.matmul_into(a, b, &mut out);
-        out
-    }
-
-    fn matmul_into(&self, a: &Mat, b: &Mat, out: &mut Mat) {
-        let _span = pdac_telemetry::span("nn.gemm.analog");
-        pdac_telemetry::counter_add("nn.gemm.macs", (a.rows() * a.cols() * b.cols()) as u64);
-        if self.use_int8(a.cols()) {
-            pdac_telemetry::counter_add("nn.gemm.int8", 1);
-            let bq = self.cache.get_or_prepare(b, &self.lut);
-            int8_matmul_cached(
-                a,
-                &bq,
-                self.lut.bits(),
-                false,
-                &mut self.scratch.borrow_mut(),
-                out,
-            );
-        } else if self.use_product_lut(a.cols(), b.cols()) {
-            pdac_telemetry::counter_add("nn.gemm.product_lut", 1);
-            let bq = self.cache.get_or_prepare(b, &self.lut);
-            lut_matmul_cached(
-                a,
-                &bq,
-                &self.lut,
-                &self.lut,
-                false,
-                &mut self.scratch.borrow_mut(),
-                out,
-            );
-        } else {
-            let bits = self.lut.bits();
-            let aq = QuantizedMat::quantize(a, bits).dequantize_with(&self.lut);
-            let bq = self.cache.get_or_prepare(b, &self.lut);
-            aq.matmul_into(bq.converted(), out)
-                .expect("inner dimensions must agree");
-        }
-        crate::tap::observe(&self.name, "matmul", a, b, out);
-    }
-
-    /// Transient analog form: both operands quantize and convert fresh,
-    /// bypassing the weight cache entirely. `WeightCache::get_or_prepare`
-    /// applies exactly this quantize→LUT-dequantize transform before
-    /// memoizing, so skipping the cache cannot change a single bit — it
-    /// only avoids fingerprinting + inserting an operand that is dead
-    /// after this call. Code-linear drivers take the integer route
-    /// (per-call `B` code packing, same dequantize-at-end contract as the
-    /// cached path); transients never use the product LUT — rebuilding a
-    /// 64 Ki-entry table for a dead-after-this-call operand loses.
-    fn matmul_transient_into(&self, a: &Mat, b: &Mat, out: &mut Mat) {
-        let _span = pdac_telemetry::span("nn.gemm.analog");
-        pdac_telemetry::counter_add("nn.gemm.macs", (a.rows() * a.cols() * b.cols()) as u64);
-        if self.use_int8(a.cols()) {
-            pdac_telemetry::counter_add("nn.gemm.int8", 1);
-            int8_matmul_transient(a, b, self.lut.bits(), &mut self.scratch.borrow_mut(), out);
-        } else {
-            let bits = self.lut.bits();
-            let aq = QuantizedMat::quantize(a, bits).dequantize_with(&self.lut);
-            let bq = QuantizedMat::quantize(b, bits).dequantize_with(&self.lut);
-            aq.matmul_into(&bq, out)
-                .expect("inner dimensions must agree");
-        }
-        crate::tap::observe(&self.name, "transient", a, b, out);
-    }
-
-    /// Batched analog form: each sequence row gets its own quantization
-    /// scale ([`RowQuantizedMat`]) — exactly the per-tensor rule the
-    /// single-sequence path applies to its 1×k activation — and the
-    /// whole converted stack multiplies the cached weight conversion in
-    /// one prepacked GEMM. Row-identical to per-row [`Self::matmul`]
-    /// calls; the weight converts (and packs) once per distinct matrix
-    /// instead of once per sequence. The integer and product-LUT routes
-    /// apply per-row scales to the same kernels as the solo path, so the
-    /// row identity survives routing (the route predicate depends on
-    /// shape alone).
-    fn matmul_batch_into(&self, a: &Mat, b: &Mat, out: &mut Mat) {
-        let _span = pdac_telemetry::span("nn.gemm.analog_batch");
-        pdac_telemetry::counter_add("nn.gemm.macs", (a.rows() * a.cols() * b.cols()) as u64);
-        if self.use_int8(a.cols()) {
-            pdac_telemetry::counter_add("nn.gemm.int8", 1);
-            let bq = self.cache.get_or_prepare(b, &self.lut);
-            int8_matmul_cached(
-                a,
-                &bq,
-                self.lut.bits(),
-                true,
-                &mut self.scratch.borrow_mut(),
-                out,
-            );
-        } else if self.use_product_lut(a.cols(), b.cols()) {
-            pdac_telemetry::counter_add("nn.gemm.product_lut", 1);
-            let bq = self.cache.get_or_prepare(b, &self.lut);
-            lut_matmul_cached(
-                a,
-                &bq,
-                &self.lut,
-                &self.lut,
-                true,
-                &mut self.scratch.borrow_mut(),
-                out,
-            );
-        } else {
-            let bits = self.lut.bits();
-            let aq = RowQuantizedMat::quantize(a, bits).dequantize_with(&self.lut);
-            let bq = self.cache.get_or_prepare(b, &self.lut);
-            aq.matmul_prepacked_into(bq.packed(), out)
-                .expect("inner dimensions must agree");
-        }
-        crate::tap::observe(&self.name, "batch", a, b, out);
-    }
-
-    /// Grouped analog form: per-row activation scales
-    /// ([`RowQuantizedMat`]) and per-block operand scales
-    /// ([`GroupQuantizedMat`], one block per sequence) reproduce exactly
-    /// the per-tensor quantization the solo transient path applies to
-    /// each 1×k query and k×n gathered operand — then all `G` products
-    /// run in one exact grouped kernel. Cache-free like
-    /// [`Self::matmul_transient_into`], and like it, code-linear drivers
-    /// run the grouped integer kernel instead.
-    fn matmul_grouped_transient_into(&self, a: &Mat, b: &Mat, out: &mut Mat) {
-        let _span = pdac_telemetry::span("nn.gemm.analog_grouped");
-        pdac_telemetry::counter_add("nn.gemm.macs", (a.rows() * a.cols() * b.cols()) as u64);
-        if self.use_int8(a.cols()) {
-            pdac_telemetry::counter_add("nn.gemm.int8", 1);
-            int8_matmul_grouped(a, b, self.lut.bits(), &mut self.scratch.borrow_mut(), out);
-        } else {
-            let bits = self.lut.bits();
-            let aq = RowQuantizedMat::quantize(a, bits).dequantize_with(&self.lut);
-            let bq = GroupQuantizedMat::quantize(b, a.cols(), bits).dequantize_with(&self.lut);
-            aq.matmul_grouped_into(&bq, out)
-                .expect("stacked operand rows must equal G·k");
-        }
-        crate::tap::observe(&self.name, "grouped", a, b, out);
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-/// Asymmetric analog GEMM: different drive paths for the two operands —
-/// the hybrid design where dynamic activations (`a`) ride the P-DAC and
-/// weight-like operands (`b`) keep the exact electrical path.
+/// Analog GEMM through a pair of converter drive paths: quantize both
+/// operands, dequantize the activation side (`a`) through one driver and
+/// the weight side (`b`) through the other — injecting each converter's
+/// error — then multiply exactly (the DDot identity).
 ///
-/// Carries the same sub-f64 routes as [`AnalogGemm`]: the integer route
-/// engages only when **both** drive paths are exactly code-linear, the
-/// product-LUT route ([`Self::with_product_lut_floor`]) works for any
-/// ≤ 8-bit driver pair because the table holds per-pair products of the
-/// two scaled tables.
-#[derive(Debug)]
-pub struct AsymmetricGemm<Da, Db> {
-    driver_a: Da,
-    driver_b: Db,
+/// [`Self::new`] drives both sides with one converter (pure P-DAC, pure
+/// e-DAC, ideal); [`Self::hybrid`] splits them — the hybrid design where
+/// dynamic activations ride the P-DAC and weights keep the electrical
+/// path.
+///
+/// Each driver is tabulated once into a [`ConverterLut`] at
+/// construction, so per-call conversion is an array read, and model
+/// weights are memoized in a [`WeightCache`] so repeated multiplies
+/// against the same weights — every decode step of generative inference
+/// — skip quantize+convert entirely. Both shortcuts are bit-identical to
+/// the direct path.
+///
+/// When both drive paths are exactly code-linear
+/// ([`ConverterLut::is_code_linear`], i.e. the ideal digital reference
+/// `pdac_core::IdealDac`) at ≤ 8 bits, the dequantized product factors
+/// into `scale_a·scale_b/m² · Σ ca·cb` and every multiply runs in the
+/// exact byte-size integer engine (`pdac_math::gemm_i8`) with one
+/// dequantize at the end (DESIGN.md §16). Physical drivers never
+/// qualify, so their modeled conversion error is untouched.
+#[derive(Debug, Clone)]
+pub struct AnalogGemm {
     lut_a: ConverterLut,
     lut_b: ConverterLut,
     cache: WeightCache,
     name: String,
-    code_linear: bool,
-    product_lut_floor: usize,
+    int8: bool,
     scratch: RefCell<IntScratch>,
 }
 
-impl<Da: Clone, Db: Clone> Clone for AsymmetricGemm<Da, Db> {
-    /// Clones share the cache contents but start with fresh (empty,
-    /// re-growable) integer-route scratch.
-    fn clone(&self) -> Self {
-        Self {
-            driver_a: self.driver_a.clone(),
-            driver_b: self.driver_b.clone(),
-            lut_a: self.lut_a.clone(),
-            lut_b: self.lut_b.clone(),
-            cache: self.cache.clone(),
-            name: self.name.clone(),
-            code_linear: self.code_linear,
-            product_lut_floor: self.product_lut_floor,
-            scratch: RefCell::new(IntScratch::default()),
-        }
+impl AnalogGemm {
+    /// Drives both operands through `driver`.
+    pub fn new(driver: impl MzmDriver, name: impl Into<String>) -> Self {
+        let lut = ConverterLut::new(&driver);
+        Self::from_luts(lut.clone(), lut, name.into())
     }
-}
 
-impl<Da: MzmDriver, Db: MzmDriver> AsymmetricGemm<Da, Db> {
-    /// Wraps the two drivers.
+    /// Drives activations through `driver_a` and weight-like right
+    /// operands through `driver_b`.
     ///
     /// # Panics
     ///
     /// Panics if the drivers' bit widths differ.
-    pub fn new(driver_a: Da, driver_b: Db, name: impl Into<String>) -> Self {
+    pub fn hybrid(
+        driver_a: impl MzmDriver,
+        driver_b: impl MzmDriver,
+        name: impl Into<String>,
+    ) -> Self {
         assert_eq!(
             driver_a.bits(),
             driver_b.bits(),
             "both operand paths must share a bit width"
         );
-        let lut_a = ConverterLut::new(&driver_a);
-        let lut_b = ConverterLut::new(&driver_b);
-        let code_linear = lut_a.is_code_linear() && lut_b.is_code_linear();
+        Self::from_luts(
+            ConverterLut::new(&driver_a),
+            ConverterLut::new(&driver_b),
+            name.into(),
+        )
+    }
+
+    fn from_luts(lut_a: ConverterLut, lut_b: ConverterLut, name: String) -> Self {
+        let int8 = lut_a.bits() <= 8 && lut_a.is_code_linear() && lut_b.is_code_linear();
         Self {
-            driver_a,
-            driver_b,
             lut_a,
             lut_b,
             cache: WeightCache::default(),
-            name: name.into(),
-            code_linear,
-            product_lut_floor: usize::MAX,
+            name,
+            int8,
             scratch: RefCell::new(IntScratch::default()),
         }
-    }
-
-    /// Opts cached-weight multiplies into the product-LUT gather route;
-    /// same contract as [`AnalogGemm::with_product_lut_floor`].
-    pub fn with_product_lut_floor(mut self, floor_bytes: usize) -> Self {
-        self.product_lut_floor = floor_bytes;
-        self
-    }
-
-    /// The activation-path driver.
-    pub fn driver_a(&self) -> &Da {
-        &self.driver_a
-    }
-
-    /// The weight-path driver.
-    pub fn driver_b(&self) -> &Db {
-        &self.driver_b
     }
 
     /// The weight-conversion cache (for hit/miss inspection).
@@ -751,23 +335,127 @@ impl<Da: MzmDriver, Db: MzmDriver> AsymmetricGemm<Da, Db> {
         &self.cache
     }
 
-    /// Shape-only integer-route predicate; requires both drive paths
-    /// code-linear (see [`AnalogGemm::use_int8`]).
-    fn use_int8(&self, k: usize) -> bool {
-        self.code_linear && self.lut_a.bits() <= 8 && k <= gemm_i8::MAX_K_I8
+    /// The one analog routine behind every [`GemmBackend`] method: it
+    /// owns the span, the MAC counter, the route choice and the tap.
+    ///
+    /// The route (integer or f64) depends on the drivers and `k` alone,
+    /// never on operand values, so batched and grouped calls route
+    /// exactly like their solo twins and keep their row identities.
+    ///
+    /// A quantization block (the tensor, a row, or a grouped block)
+    /// holding a non-finite value gets a NaN scale (see
+    /// [`crate::quant`]), so every output row that block feeds is
+    /// all-NaN and every other row is bit-identical to a clean call.
+    fn run(&self, a: &Mat, b: &Mat, operand: Operand, rows: Rows, out: &mut Mat) {
+        let (span, op) = match (rows, operand) {
+            (Rows::Tensor, Operand::Weight) => ("nn.gemm.analog", "matmul"),
+            (Rows::Tensor, Operand::Transient) => ("nn.gemm.analog", "transient"),
+            (Rows::PerRow, _) => ("nn.gemm.analog_batch", "batch"),
+            (Rows::Grouped, _) => ("nn.gemm.analog_grouped", "grouped"),
+        };
+        let _span = pdac_telemetry::span(span);
+        let (m, k) = a.shape();
+        pdac_telemetry::counter_add("nn.gemm.macs", (m * k * b.cols()) as u64);
+        if rows == Rows::Grouped {
+            assert_eq!(b.rows(), m * k, "stacked operand rows must equal G·k");
+        } else {
+            assert_eq!(b.rows(), k, "inner dimensions must agree");
+        }
+        if self.int8 && k <= gemm_i8::MAX_K_I8 {
+            pdac_telemetry::counter_add("nn.gemm.int8", 1);
+            self.int8_route(a, b, operand, rows, out);
+        } else {
+            self.f64_route(a, b, operand, rows, out);
+        }
+        crate::tap::observe(&self.name, op, a, b, out);
     }
 
-    /// Shape-only product-LUT predicate (see
-    /// [`AnalogGemm::use_product_lut`]).
-    fn use_product_lut(&self, k: usize, n: usize) -> bool {
-        self.lut_a.bits() <= 8
-            && k.checked_mul(n)
-                .and_then(|cells| cells.checked_mul(std::mem::size_of::<f64>()))
-                .is_some_and(|bytes| bytes >= self.product_lut_floor)
+    /// Quantize → LUT-dequantize both operands, then one exact f64 GEMM
+    /// (plain, prepacked against the cached weight, or grouped).
+    fn f64_route(&self, a: &Mat, b: &Mat, operand: Operand, rows: Rows, out: &mut Mat) {
+        let bits = self.lut_a.bits();
+        let aq = match rows {
+            Rows::Tensor => QuantizedMat::quantize(a, bits).dequantize_with(&self.lut_a),
+            _ => RowQuantizedMat::quantize(a, bits).dequantize_with(&self.lut_a),
+        };
+        let lut_b = &self.lut_b;
+        match (operand, rows) {
+            (Operand::Weight, Rows::PerRow) => {
+                aq.matmul_prepacked_into(self.cache.get_or_prepare(b, lut_b).packed(), out)
+            }
+            (Operand::Weight, _) => {
+                aq.matmul_into(self.cache.get_or_prepare(b, lut_b).converted(), out)
+            }
+            (Operand::Transient, Rows::Grouped) => aq.matmul_grouped_into(
+                &GroupQuantizedMat::quantize(b, a.cols(), bits).dequantize_with(lut_b),
+                out,
+            ),
+            (Operand::Transient, _) => {
+                aq.matmul_into(&QuantizedMat::quantize(b, bits).dequantize_with(lut_b), out)
+            }
+        }
+        .expect("operand shapes checked by the caller");
+    }
+
+    /// Quantize both operands to codes, contract them exactly in `i32`,
+    /// dequantize once at the end: row `r` of the output is
+    /// `fl(f_r · acc)` with `f_r = fl(fl(s_a/m) · fl(s_b/m))`, `m` the max
+    /// code and `s_a`, `s_b` the scales feeding row `r` (DESIGN.md §16).
+    fn int8_route(&self, a: &Mat, b: &Mat, operand: Operand, rows: Rows, out: &mut Mat) {
+        let (m, k) = a.shape();
+        let n = b.cols();
+        let bits = self.lut_a.bits();
+        let threads = default_threads();
+        let sc = &mut *self.scratch.borrow_mut();
+        if rows == Rows::Tensor {
+            let s = quant::quantize_tensor_i16(a.as_slice(), bits, &mut sc.a_codes);
+            sc.a_scales.clear();
+            sc.a_scales.push(s);
+        } else {
+            quant::quantize_blocks_i16(a, 1, bits, &mut sc.a_codes, &mut sc.a_scales);
+        }
+        sc.acc.clear();
+        sc.acc.resize(m * n, 0);
+        match (operand, rows) {
+            (Operand::Weight, _) => {
+                let bq = self.cache.get_or_prepare(b, &self.lut_b);
+                sc.b_scales.clear();
+                sc.b_scales.push(bq.code_scale());
+                gemm_i8::gemm_i8_prepacked(&sc.a_codes, bq.packed_codes(), m, &mut sc.acc, threads);
+            }
+            (Operand::Transient, Rows::Grouped) => {
+                quant::quantize_blocks_i16(b, k, bits, &mut sc.b_codes, &mut sc.b_scales);
+                gemm_i8::gemm_i8_grouped(&sc.a_codes, &sc.b_codes, m, k, n, &mut sc.acc, threads);
+            }
+            (Operand::Transient, _) => {
+                // Packing per call is a `k·n` i16 write pass, cheaper
+                // than the `k·n` f64 convert pass it replaces.
+                let s = quant::quantize_tensor_i16(b.as_slice(), bits, &mut sc.b_codes);
+                sc.b_scales.clear();
+                sc.b_scales.push(s);
+                let packed = PackedBi8::pack(&sc.b_codes, k, n);
+                gemm_i8::gemm_i8_prepacked(&sc.a_codes, &packed, m, &mut sc.acc, threads);
+            }
+        }
+        let mc = ((1i32 << (bits - 1)) - 1) as f64;
+        // One scale per tensor or one per row/block: row `r` reads its own.
+        let step = |scales: &[f64], r: usize| scales[r.min(scales.len() - 1)] / mc;
+        out.resize(m, n);
+        for (r, (out_row, acc_row)) in out
+            .as_mut_slice()
+            .chunks_exact_mut(n)
+            .zip(sc.acc.chunks_exact(n))
+            .enumerate()
+        {
+            let f = step(&sc.a_scales, r) * step(&sc.b_scales, r);
+            for (o, &v) in out_row.iter_mut().zip(acc_row) {
+                *o = f * v as f64;
+            }
+        }
     }
 }
 
-impl<Da: MzmDriver, Db: MzmDriver> GemmBackend for AsymmetricGemm<Da, Db> {
+impl GemmBackend for AnalogGemm {
     fn matmul(&self, a: &Mat, b: &Mat) -> Mat {
         let mut out = Mat::zeros(1, 1);
         self.matmul_into(a, b, &mut out);
@@ -775,120 +463,32 @@ impl<Da: MzmDriver, Db: MzmDriver> GemmBackend for AsymmetricGemm<Da, Db> {
     }
 
     fn matmul_into(&self, a: &Mat, b: &Mat, out: &mut Mat) {
-        let _span = pdac_telemetry::span("nn.gemm.asymmetric");
-        pdac_telemetry::counter_add("nn.gemm.macs", (a.rows() * a.cols() * b.cols()) as u64);
-        if self.use_int8(a.cols()) {
-            pdac_telemetry::counter_add("nn.gemm.int8", 1);
-            let bq = self.cache.get_or_prepare(b, &self.lut_b);
-            int8_matmul_cached(
-                a,
-                &bq,
-                self.lut_a.bits(),
-                false,
-                &mut self.scratch.borrow_mut(),
-                out,
-            );
-        } else if self.use_product_lut(a.cols(), b.cols()) {
-            pdac_telemetry::counter_add("nn.gemm.product_lut", 1);
-            let bq = self.cache.get_or_prepare(b, &self.lut_b);
-            lut_matmul_cached(
-                a,
-                &bq,
-                &self.lut_a,
-                &self.lut_b,
-                false,
-                &mut self.scratch.borrow_mut(),
-                out,
-            );
-        } else {
-            let bits = self.lut_a.bits();
-            let aq = QuantizedMat::quantize(a, bits).dequantize_with(&self.lut_a);
-            let bq = self.cache.get_or_prepare(b, &self.lut_b);
-            aq.matmul_into(bq.converted(), out)
-                .expect("inner dimensions must agree");
-        }
-        crate::tap::observe(&self.name, "matmul", a, b, out);
+        self.run(a, b, Operand::Weight, Rows::Tensor, out);
     }
 
-    /// Transient hybrid form: cache-free twin of the cached path —
-    /// activations through the `a` drive path, the ephemeral right-hand
-    /// operand through the `b` (weight) drive path, exactly as
-    /// `get_or_prepare` would have converted it.
+    /// Cache-free form: `WeightCache::get_or_prepare` applies exactly
+    /// this quantize→convert transform before memoizing, so skipping the
+    /// cache cannot change a bit — it only avoids fingerprinting and
+    /// inserting an operand that is dead after this call.
     fn matmul_transient_into(&self, a: &Mat, b: &Mat, out: &mut Mat) {
-        let _span = pdac_telemetry::span("nn.gemm.asymmetric");
-        pdac_telemetry::counter_add("nn.gemm.macs", (a.rows() * a.cols() * b.cols()) as u64);
-        if self.use_int8(a.cols()) {
-            pdac_telemetry::counter_add("nn.gemm.int8", 1);
-            int8_matmul_transient(a, b, self.lut_a.bits(), &mut self.scratch.borrow_mut(), out);
-        } else {
-            let bits = self.lut_a.bits();
-            let aq = QuantizedMat::quantize(a, bits).dequantize_with(&self.lut_a);
-            let bq = QuantizedMat::quantize(b, bits).dequantize_with(&self.lut_b);
-            aq.matmul_into(&bq, out)
-                .expect("inner dimensions must agree");
-        }
-        crate::tap::observe(&self.name, "transient", a, b, out);
+        self.run(a, b, Operand::Transient, Rows::Tensor, out);
     }
 
-    /// Batched hybrid form: per-row activation quantization on the
-    /// P-DAC path, cached+prepacked weight conversion on the electrical
-    /// path — same row identity as [`AnalogGemm::matmul_batch_into`],
-    /// including across the integer/product-LUT routes (shape-only
-    /// predicates, per-row scales into the same kernels).
+    /// Per-row activation scales ([`RowQuantizedMat`]) — the per-tensor
+    /// rule the solo path applies to its 1×k activation — against the
+    /// cached, prepacked weight: row-identical to per-row
+    /// [`Self::matmul`] calls, with the weight converted once per
+    /// distinct matrix instead of once per sequence.
     fn matmul_batch_into(&self, a: &Mat, b: &Mat, out: &mut Mat) {
-        let _span = pdac_telemetry::span("nn.gemm.asymmetric_batch");
-        pdac_telemetry::counter_add("nn.gemm.macs", (a.rows() * a.cols() * b.cols()) as u64);
-        if self.use_int8(a.cols()) {
-            pdac_telemetry::counter_add("nn.gemm.int8", 1);
-            let bq = self.cache.get_or_prepare(b, &self.lut_b);
-            int8_matmul_cached(
-                a,
-                &bq,
-                self.lut_a.bits(),
-                true,
-                &mut self.scratch.borrow_mut(),
-                out,
-            );
-        } else if self.use_product_lut(a.cols(), b.cols()) {
-            pdac_telemetry::counter_add("nn.gemm.product_lut", 1);
-            let bq = self.cache.get_or_prepare(b, &self.lut_b);
-            lut_matmul_cached(
-                a,
-                &bq,
-                &self.lut_a,
-                &self.lut_b,
-                true,
-                &mut self.scratch.borrow_mut(),
-                out,
-            );
-        } else {
-            let bits = self.lut_a.bits();
-            let aq = RowQuantizedMat::quantize(a, bits).dequantize_with(&self.lut_a);
-            let bq = self.cache.get_or_prepare(b, &self.lut_b);
-            aq.matmul_prepacked_into(bq.packed(), out)
-                .expect("inner dimensions must agree");
-        }
-        crate::tap::observe(&self.name, "batch", a, b, out);
+        self.run(a, b, Operand::Weight, Rows::PerRow, out);
     }
 
-    /// Grouped hybrid form: per-row activations through the `a` drive
-    /// path, per-block stacked operands through the `b` (weight) drive
-    /// path — block scales match the solo transient path exactly (see
-    /// [`AnalogGemm::matmul_grouped_transient_into`]).
+    /// Per-row activation scales and per-block operand scales
+    /// ([`GroupQuantizedMat`]) reproduce the solo transient quantization
+    /// of each 1×k query and k×n gathered operand; all `G` products run
+    /// in one grouped kernel. Cache-free.
     fn matmul_grouped_transient_into(&self, a: &Mat, b: &Mat, out: &mut Mat) {
-        let _span = pdac_telemetry::span("nn.gemm.asymmetric_grouped");
-        pdac_telemetry::counter_add("nn.gemm.macs", (a.rows() * a.cols() * b.cols()) as u64);
-        if self.use_int8(a.cols()) {
-            pdac_telemetry::counter_add("nn.gemm.int8", 1);
-            int8_matmul_grouped(a, b, self.lut_a.bits(), &mut self.scratch.borrow_mut(), out);
-        } else {
-            let bits = self.lut_a.bits();
-            let aq = RowQuantizedMat::quantize(a, bits).dequantize_with(&self.lut_a);
-            let bq = GroupQuantizedMat::quantize(b, a.cols(), bits).dequantize_with(&self.lut_b);
-            aq.matmul_grouped_into(&bq, out)
-                .expect("stacked operand rows must equal G·k");
-        }
-        crate::tap::observe(&self.name, "grouped", a, b, out);
+        self.run(a, b, Operand::Transient, Rows::Grouped, out);
     }
 
     fn name(&self) -> &str {
@@ -900,6 +500,7 @@ impl<Da: MzmDriver, Db: MzmDriver> GemmBackend for AsymmetricGemm<Da, Db> {
 mod tests {
     use super::*;
     use pdac_core::edac::ElectricalDac;
+    use pdac_core::ideal::IdealDac;
     use pdac_core::pdac::PDac;
     use pdac_math::rng::SplitMix64;
     use pdac_math::stats::cosine_similarity;
@@ -907,6 +508,216 @@ mod tests {
     fn random_mat(rows: usize, cols: usize, seed: u64) -> Mat {
         let mut rng = SplitMix64::seed_from_u64(seed);
         Mat::from_fn(rows, cols, |_, _| rng.gen_range_f64(-1.0, 1.0))
+    }
+
+    fn pdac8() -> PDac {
+        PDac::with_optimal_approx(8).unwrap()
+    }
+
+    fn edac8() -> ElectricalDac {
+        ElectricalDac::new(8).unwrap()
+    }
+
+    fn ideal8() -> IdealDac {
+        IdealDac::new(8).unwrap()
+    }
+
+    /// Scales block `blk` (rows `blk·block_rows ..`) of `m` by `f` for
+    /// each `(blk, f)`; `block_rows = 1` scales single rows.
+    fn scale_blocks(m: &mut Mat, block_rows: usize, factors: &[(usize, f64)]) {
+        for &(blk, f) in factors {
+            for r in blk * block_rows..(blk + 1) * block_rows {
+                for v in m.row_slice_mut(r) {
+                    *v *= f;
+                }
+            }
+        }
+    }
+
+    fn row_of(m: &Mat, r: usize) -> Mat {
+        Mat::from_rows(1, m.cols(), m.row_slice(r).to_vec()).unwrap()
+    }
+
+    fn block_of(b: &Mat, g: usize, k: usize) -> Mat {
+        let n = b.cols();
+        Mat::from_rows(k, n, b.as_slice()[g * k * n..(g + 1) * k * n].to_vec()).unwrap()
+    }
+
+    /// Every output row of the batched form must match the 1×k matmul of
+    /// that row alone — the invariant `decode_batch` is built on.
+    fn assert_batch_rows_match(backend: &dyn GemmBackend, a: &Mat, b: &Mat) {
+        let batched = backend.matmul_batch(a, b);
+        assert_eq!(batched.shape(), (a.rows(), b.cols()));
+        for r in 0..a.rows() {
+            let single = backend.matmul(&row_of(a, r), b);
+            assert_eq!(
+                batched.row_slice(r),
+                single.row_slice(0),
+                "{} row {r}",
+                backend.name()
+            );
+        }
+    }
+
+    /// Every output row of the grouped transient form must match the
+    /// solo transient matmul of that row against its own stacked block —
+    /// the invariant the grouped attention path is built on.
+    fn assert_grouped_rows_match(backend: &dyn GemmBackend, a: &Mat, b: &Mat) {
+        let (g, k) = a.shape();
+        let mut grouped = Mat::zeros(1, 1);
+        backend.matmul_grouped_transient_into(a, b, &mut grouped);
+        assert_eq!(grouped.shape(), (g, b.cols()));
+        let mut solo = Mat::zeros(1, 1);
+        for r in 0..g {
+            backend.matmul_transient_into(&row_of(a, r), &block_of(b, r, k), &mut solo);
+            assert_eq!(
+                grouped.row_slice(r),
+                solo.row_slice(0),
+                "{} group {r}",
+                backend.name()
+            );
+        }
+    }
+
+    /// Every analog configuration, with whether it takes the integer
+    /// route: P-DAC, e-DAC, ideal, hybrid P-DAC/e-DAC, hybrid ideal/ideal.
+    fn analog_configs() -> Vec<(AnalogGemm, bool)> {
+        vec![
+            (AnalogGemm::new(pdac8(), "pdac8"), false),
+            (AnalogGemm::new(edac8(), "edac8"), false),
+            (AnalogGemm::new(ideal8(), "ideal8"), true),
+            (AnalogGemm::hybrid(pdac8(), edac8(), "hybrid"), false),
+            (AnalogGemm::hybrid(ideal8(), ideal8(), "ideal-hybrid"), true),
+        ]
+    }
+
+    /// The backend identities, checked once for every analog
+    /// configuration (and so for both routes): `matmul` ≡ `matmul_into` ≡
+    /// `matmul_transient_into`, batch rows ≡ solo rows, grouped rows ≡
+    /// solo transients, the raw-value pack is ignored, and the weight
+    /// cache sees exactly the weight traffic.
+    #[test]
+    fn every_analog_config_keeps_the_backend_identities() {
+        // Rows and blocks with very different magnitudes: any scale
+        // shared across rows or blocks would fail the row identities.
+        let mut a = random_mat(5, 16, 63);
+        scale_blocks(&mut a, 1, &[(0, 10.0), (1, 0.01)]);
+        let b = random_mat(16, 8, 64);
+        let (g, k, n) = (5, 8, 6);
+        let ga = random_mat(g, k, 101);
+        let mut gb = random_mat(g * k, n, 102);
+        scale_blocks(&mut gb, k, &[(0, 12.0), (3, 0.02)]);
+        for (backend, int8) in analog_configs() {
+            let name = backend.name().to_string();
+            assert_eq!(backend.int8, int8, "{name} route");
+            let traffic = || (backend.cache().misses(), backend.cache().hits());
+            let mut out = Mat::zeros(1, 1);
+
+            // Transient and grouped calls never touch the cache.
+            assert_grouped_rows_match(&backend, &ga, &gb);
+            assert_grouped_rows_match(&backend, &row_of(&ga, 2), &block_of(&gb, 2, k));
+            backend.matmul_transient_into(&a, &b, &mut out);
+            let transient = out.clone();
+            assert_eq!(traffic(), (0, 0), "{name}: transients hit the cache");
+
+            // matmul ≡ matmul_into ≡ matmul_transient_into; one miss,
+            // then hits.
+            let solo = backend.matmul(&a, &b);
+            backend.matmul_into(&a, &b, &mut out);
+            assert_eq!(out, solo, "{name}: matmul_into");
+            assert_eq!(transient, solo, "{name}: matmul_transient_into");
+            assert_eq!(traffic(), (1, 1), "{name}");
+
+            // Batch rows ≡ solo rows: one lookup per call, all hits.
+            assert_batch_rows_match(&backend, &a, &b);
+            assert_eq!(traffic(), (1, 2 + a.rows() as u64), "{name}");
+
+            // The packed batch form ignores the raw-value pack (analog
+            // backends keep packed *converted* weights in their cache).
+            let mut via_pack = Mat::zeros(1, 1);
+            backend.matmul_batch_packed_into(
+                &a,
+                &b,
+                &|| -> &'static PackedB { unreachable!("analog backends never use the pack") },
+                &mut via_pack,
+            );
+            backend.matmul_batch_into(&a, &b, &mut out);
+            assert_eq!(via_pack, out, "{name}: batch_packed");
+
+            // A fresh weight converts once, then answers from the cache
+            // for every activation and batch size.
+            let before = traffic();
+            let w = random_mat(12, 4, 33);
+            for step in 0..5 {
+                backend.matmul_batch_into(
+                    &random_mat(1 + step, 12, 70 + step as u64),
+                    &w,
+                    &mut out,
+                );
+            }
+            let after = traffic();
+            assert_eq!((after.0 - before.0, after.1 - before.1), (1, 4), "{name}");
+        }
+    }
+
+    /// One `Inf` or `NaN` in one sequence's operands fails that
+    /// sequence's row only — on the f64 and integer routes, in the batch
+    /// and grouped modes: no panic, an all-NaN row 1, and rows 0 and 2
+    /// bit-identical to their solo calls.
+    #[test]
+    fn non_finite_operand_fails_only_its_own_rows() {
+        let (k, n) = (16, 8);
+        let w = random_mat(k, n, 301);
+        let clean_a = random_mat(3, k, 302);
+        let clean_gb = random_mat(3 * k, n, 303);
+        let backends = [
+            AnalogGemm::new(pdac8(), "pdac8"),
+            AnalogGemm::new(ideal8(), "ideal8"),
+        ];
+        for backend in &backends {
+            for bad in [f64::INFINITY, f64::NAN] {
+                let label = format!("{} with {bad}", backend.name());
+                let mut a = clean_a.clone();
+                a.row_slice_mut(1)[5] = bad;
+                let mut gb = clean_gb.clone();
+                gb.row_slice_mut(k + 3)[2] = bad;
+                let mut out = Mat::zeros(1, 1);
+                let mut solo = Mat::zeros(1, 1);
+                let cases: [(&str, &Mat, &Mat); 3] = [
+                    ("batch", &a, &w),
+                    ("grouped activation", &a, &clean_gb),
+                    ("grouped operand", &clean_a, &gb),
+                ];
+                for (mode, lhs, rhs) in cases {
+                    if rhs.rows() == k {
+                        backend.matmul_batch_into(lhs, rhs, &mut out);
+                    } else {
+                        backend.matmul_grouped_transient_into(lhs, rhs, &mut out);
+                    }
+                    assert!(
+                        out.row_slice(1).iter().all(|v| v.is_nan()),
+                        "{label} {mode}: row 1 {:?}",
+                        out.row_slice(1)
+                    );
+                    for r in [0, 2] {
+                        if rhs.rows() == k {
+                            solo = backend.matmul(&row_of(lhs, r), rhs);
+                        } else {
+                            backend.matmul_transient_into(
+                                &row_of(lhs, r),
+                                &block_of(rhs, r, k),
+                                &mut solo,
+                            );
+                        }
+                        assert_eq!(
+                            out.row_slice(r),
+                            solo.row_slice(0),
+                            "{label} {mode} row {r}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -918,272 +729,25 @@ mod tests {
     }
 
     #[test]
-    fn analog_pdac_is_close_but_not_exact() {
-        let a = random_mat(8, 16, 3);
-        let b = random_mat(16, 8, 4);
-        let exact = ExactGemm.matmul(&a, &b);
-        let analog = AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "pdac8");
-        let got = analog.matmul(&a, &b);
-        assert_ne!(got, exact);
-        let cs = cosine_similarity(got.as_slice(), exact.as_slice()).unwrap();
-        assert!(cs > 0.99, "cosine similarity {cs}");
-    }
-
-    #[test]
-    fn analog_edac_is_closer_than_pdac() {
-        let a = random_mat(8, 16, 5);
-        let b = random_mat(16, 8, 6);
-        let exact = ExactGemm.matmul(&a, &b);
-        let pdac = AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "pdac8");
-        let edac = AnalogGemm::new(ElectricalDac::new(8).unwrap(), "edac8");
-        let dp = pdac.matmul(&a, &b).distance(&exact);
-        let de = edac.matmul(&a, &b).distance(&exact);
-        assert!(de < dp, "edac {de} vs pdac {dp}");
-    }
-
-    #[test]
-    fn higher_precision_improves_analog_gemm() {
-        let a = random_mat(8, 16, 7);
-        let b = random_mat(16, 8, 8);
-        let exact = ExactGemm.matmul(&a, &b);
-        let d4 = AnalogGemm::new(PDac::with_optimal_approx(4).unwrap(), "p4")
-            .matmul(&a, &b)
-            .distance(&exact);
-        let d8 = AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "p8")
-            .matmul(&a, &b)
-            .distance(&exact);
-        assert!(d8 < d4, "8-bit {d8} vs 4-bit {d4}");
-    }
-
-    #[test]
-    fn asymmetric_accuracy_between_pure_paths() {
-        let a = random_mat(8, 16, 21);
-        let b = random_mat(16, 8, 22);
-        let exact = ExactGemm.matmul(&a, &b);
-        let full_pdac = AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "pp");
-        let full_edac = AnalogGemm::new(ElectricalDac::new(8).unwrap(), "ee");
-        let hybrid = AsymmetricGemm::new(
-            PDac::with_optimal_approx(8).unwrap(),
-            ElectricalDac::new(8).unwrap(),
-            "hybrid",
-        );
-        let dp = full_pdac.matmul(&a, &b).distance(&exact);
-        let de = full_edac.matmul(&a, &b).distance(&exact);
-        let dh = hybrid.matmul(&a, &b).distance(&exact);
-        assert!(de < dh && dh < dp, "{de} < {dh} < {dp} violated");
-        assert_eq!(hybrid.name(), "hybrid");
-    }
-
-    #[test]
-    #[should_panic(expected = "share a bit width")]
-    fn asymmetric_rejects_mismatched_bits() {
-        AsymmetricGemm::new(
-            PDac::with_optimal_approx(8).unwrap(),
-            ElectricalDac::new(4).unwrap(),
-            "bad",
-        );
-    }
-
-    #[test]
-    fn analog_lut_cache_path_is_bit_identical_to_direct() {
-        // The LUT + weight-cache fast path must reproduce the naive
-        // quantize→scalar-convert→reference-matmul pipeline exactly.
-        let a = random_mat(9, 13, 31);
-        let b = random_mat(13, 6, 32);
-        let driver = PDac::with_optimal_approx(8).unwrap();
-        let analog = AnalogGemm::new(driver.clone(), "p8");
-        let direct_a = QuantizedMat::quantize(&a, 8).dequantize_with(&driver);
-        let direct_b = QuantizedMat::quantize(&b, 8).dequantize_with(&driver);
-        let direct = direct_a.matmul_reference(&direct_b).unwrap();
-        assert_eq!(analog.matmul(&a, &b), direct);
-        assert_eq!(analog.matmul(&a, &b), direct);
-    }
-
-    #[test]
-    fn analog_weight_cache_hits_across_calls() {
-        let w = random_mat(12, 4, 33);
-        let analog = AnalogGemm::new(ElectricalDac::new(8).unwrap(), "e8");
-        for step in 0..5 {
-            let x = random_mat(1, 12, 40 + step);
-            let _ = analog.matmul(&x, &w);
-        }
-        assert_eq!(analog.cache().misses(), 1);
-        assert_eq!(analog.cache().hits(), 4);
-    }
-
-    #[test]
-    fn asymmetric_cache_path_is_bit_identical_to_direct() {
-        let a = random_mat(5, 11, 34);
-        let b = random_mat(11, 7, 35);
-        let pdac = PDac::with_optimal_approx(8).unwrap();
-        let edac = ElectricalDac::new(8).unwrap();
-        let hybrid = AsymmetricGemm::new(pdac.clone(), edac, "hy");
-        let direct_a = QuantizedMat::quantize(&a, 8).dequantize_with(&pdac);
-        let direct_b = QuantizedMat::quantize(&b, 8).dequantize_with(&edac);
-        let direct = direct_a.matmul_reference(&direct_b).unwrap();
-        assert_eq!(hybrid.matmul(&a, &b), direct);
-        assert_eq!(hybrid.cache().misses(), 1);
-        let _ = hybrid.matmul(&a, &b);
-        assert_eq!(hybrid.cache().hits(), 1);
-    }
-
-    #[test]
-    fn analog_gemm_zero_operand() {
-        let a = Mat::zeros(3, 3);
-        let b = random_mat(3, 3, 9);
-        let analog = AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "p8");
-        let got = analog.matmul(&a, &b);
-        assert!(got.max_abs() < 1e-12);
-    }
-
-    /// Every output row of the batched form must match the 1×k matmul of
-    /// that row alone — the invariant `decode_batch` is built on.
-    fn assert_batch_rows_match(backend: &dyn GemmBackend, a: &Mat, b: &Mat) {
-        let batched = backend.matmul_batch(a, b);
-        assert_eq!(batched.shape(), (a.rows(), b.cols()));
-        for r in 0..a.rows() {
-            let row = Mat::from_rows(1, a.cols(), a.row_slice(r).to_vec()).unwrap();
-            let single = backend.matmul(&row, b);
-            assert_eq!(
-                batched.row_slice(r),
-                single.row_slice(0),
-                "{} row {r}",
-                backend.name()
-            );
-        }
-    }
-
-    #[test]
-    fn exact_batch_rows_match_single_rows() {
+    fn exact_keeps_the_backend_identities() {
         let a = random_mat(6, 16, 61);
         let b = random_mat(16, 8, 62);
         assert_batch_rows_match(&ExactGemm, &a, &b);
-    }
-
-    #[test]
-    fn analog_batch_rows_match_single_rows() {
-        // Rows with very different magnitudes: per-tensor batching would
-        // change every row's quantization scale and fail this test.
-        let mut a = random_mat(5, 16, 63);
-        for (r, f) in [(0usize, 10.0), (1, 0.01)] {
-            for v in a.row_slice_mut(r) {
-                *v *= f;
-            }
-        }
-        let b = random_mat(16, 8, 64);
-        let pdac = AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "p8");
-        assert_batch_rows_match(&pdac, &a, &b);
-        let hybrid = AsymmetricGemm::new(
-            PDac::with_optimal_approx(8).unwrap(),
-            ElectricalDac::new(8).unwrap(),
-            "hy",
-        );
-        assert_batch_rows_match(&hybrid, &a, &b);
-    }
-
-    #[test]
-    fn matmul_into_matches_matmul() {
-        let a = random_mat(4, 12, 65);
-        let b = random_mat(12, 6, 66);
-        let pdac = AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "p8");
         let mut out = Mat::zeros(1, 1);
-        for backend in [&ExactGemm as &dyn GemmBackend, &pdac] {
-            backend.matmul_into(&a, &b, &mut out);
-            assert_eq!(out, backend.matmul(&a, &b), "{}", backend.name());
-        }
-    }
-
-    #[test]
-    fn matmul_transient_matches_cached_and_skips_cache() {
-        let a = random_mat(3, 14, 81);
-        let b = random_mat(14, 9, 82);
-        let pdac = AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "p8");
-        let hybrid = AsymmetricGemm::new(
-            PDac::with_optimal_approx(8).unwrap(),
-            ElectricalDac::new(8).unwrap(),
-            "hy",
-        );
-        let mut out = Mat::zeros(1, 1);
-        for backend in [&ExactGemm as &dyn GemmBackend, &pdac, &hybrid] {
-            backend.matmul_transient_into(&a, &b, &mut out);
-            assert_eq!(out, backend.matmul(&a, &b), "{}", backend.name());
-        }
-        // The transient call itself must leave the weight cache alone:
-        // the only traffic above came from the `matmul` comparisons.
-        assert_eq!(pdac.cache().misses() + pdac.cache().hits(), 1);
-        assert_eq!(hybrid.cache().misses() + hybrid.cache().hits(), 1);
-    }
-
-    /// Every output row of the grouped transient form must match the
-    /// solo transient matmul of that row against its own stacked block —
-    /// the invariant the grouped attention path is built on.
-    fn assert_grouped_rows_match(backend: &dyn GemmBackend, a: &Mat, b: &Mat) {
-        let (g, k) = a.shape();
-        let n = b.cols();
-        let mut grouped = Mat::zeros(1, 1);
-        backend.matmul_grouped_transient_into(a, b, &mut grouped);
-        assert_eq!(grouped.shape(), (g, n));
-        let mut solo = Mat::zeros(1, 1);
-        for r in 0..g {
-            let row = Mat::from_rows(1, k, a.row_slice(r).to_vec()).unwrap();
-            let block =
-                Mat::from_rows(k, n, b.as_slice()[r * k * n..(r + 1) * k * n].to_vec()).unwrap();
-            backend.matmul_transient_into(&row, &block, &mut solo);
-            assert_eq!(
-                grouped.row_slice(r),
-                solo.row_slice(0),
-                "{} group {r}",
-                backend.name()
-            );
-        }
-    }
-
-    #[test]
-    fn grouped_transient_rows_match_solo_transient() {
-        // Per-group operands with wildly different magnitudes so any
-        // shared quantization scale across blocks would fail.
-        let (g, k, n) = (5, 8, 6);
-        let a = random_mat(g, k, 101);
-        let mut b = random_mat(g * k, n, 102);
-        for (blk, f) in [(0usize, 12.0), (3, 0.02)] {
-            for r in 0..k {
-                for v in b.row_slice_mut(blk * k + r) {
-                    *v *= f;
-                }
-            }
-        }
-        let pdac = AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "p8");
-        let hybrid = AsymmetricGemm::new(
-            PDac::with_optimal_approx(8).unwrap(),
-            ElectricalDac::new(8).unwrap(),
-            "hy",
-        );
-        for backend in [&ExactGemm as &dyn GemmBackend, &pdac, &hybrid] {
-            assert_grouped_rows_match(backend, &a, &b);
-        }
-        // Grouped transients must leave the weight cache untouched.
-        assert_eq!(pdac.cache().misses() + pdac.cache().hits(), 0);
-        assert_eq!(hybrid.cache().misses() + hybrid.cache().hits(), 0);
-    }
-
-    #[test]
-    fn grouped_transient_single_group_matches_transient() {
-        let a = random_mat(1, 10, 103);
-        let b = random_mat(10, 7, 104);
-        let pdac = AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "p8");
-        let mut grouped = Mat::zeros(1, 1);
-        let mut solo = Mat::zeros(1, 1);
-        for backend in [&ExactGemm as &dyn GemmBackend, &pdac] {
-            backend.matmul_grouped_transient_into(&a, &b, &mut grouped);
-            backend.matmul_transient_into(&a, &b, &mut solo);
-            assert_eq!(grouped, solo, "{}", backend.name());
-        }
+        ExactGemm.matmul_into(&a, &b, &mut out);
+        assert_eq!(out, ExactGemm.matmul(&a, &b));
+        ExactGemm.matmul_transient_into(&a, &b, &mut out);
+        assert_eq!(out, ExactGemm.matmul(&a, &b));
+        let ga = random_mat(5, 8, 101);
+        let gb = random_mat(40, 6, 102);
+        assert_grouped_rows_match(&ExactGemm, &ga, &gb);
+        assert_grouped_rows_match(&ExactGemm, &row_of(&ga, 0), &block_of(&gb, 0, 8));
     }
 
     #[test]
     fn batch_packed_matches_batch_for_exact() {
         let b = random_mat(16, 8, 105);
-        let packed = pdac_math::gemm::PackedB::pack(b.as_slice(), 16, 8);
+        let packed = PackedB::pack(b.as_slice(), 16, 8);
         let mut plain = Mat::zeros(1, 1);
         let mut via_pack = Mat::zeros(1, 1);
         for rows in [1, 2, 6] {
@@ -1202,41 +766,89 @@ mod tests {
         ExactGemm.matmul_batch_packed_into(
             &a,
             &b,
-            &|| -> &'static pdac_math::gemm::PackedB { unreachable!("m == 1 must not pack") },
+            &|| -> &'static PackedB { unreachable!("m == 1 must not pack") },
             &mut out,
         );
         assert_eq!(out, ExactGemm.matmul(&a, &b));
     }
 
     #[test]
-    fn batch_packed_default_ignores_the_pack() {
-        // Analog backends keep packed *converted* weights in their own
-        // cache; the raw-value pack must be ignored, not misused.
-        let a = random_mat(4, 12, 109);
-        let b = random_mat(12, 5, 110);
-        let packed = pdac_math::gemm::PackedB::pack(b.as_slice(), 12, 5);
-        let pdac = AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "p8");
-        let mut plain = Mat::zeros(1, 1);
-        let mut via_pack = Mat::zeros(1, 1);
-        pdac.matmul_batch_into(&a, &b, &mut plain);
-        pdac.matmul_batch_packed_into(&a, &b, &|| &packed, &mut via_pack);
-        assert_eq!(via_pack, plain);
+    fn analog_pdac_is_close_but_not_exact() {
+        let a = random_mat(8, 16, 3);
+        let b = random_mat(16, 8, 4);
+        let exact = ExactGemm.matmul(&a, &b);
+        let got = AnalogGemm::new(pdac8(), "pdac8").matmul(&a, &b);
+        assert_ne!(got, exact);
+        let cs = cosine_similarity(got.as_slice(), exact.as_slice()).unwrap();
+        assert!(cs > 0.99, "cosine similarity {cs}");
     }
 
     #[test]
-    fn analog_batch_hits_weight_cache_once_per_call() {
-        let w = random_mat(12, 4, 67);
-        let analog = AnalogGemm::new(ElectricalDac::new(8).unwrap(), "e8");
-        let mut out = Mat::zeros(1, 1);
-        for step in 0..5 {
-            let x = random_mat(8, 12, 70 + step);
-            analog.matmul_batch_into(&x, &w, &mut out);
-        }
-        assert_eq!(analog.cache().misses(), 1);
-        assert_eq!(analog.cache().hits(), 4);
+    fn higher_precision_improves_analog_gemm() {
+        let a = random_mat(8, 16, 7);
+        let b = random_mat(16, 8, 8);
+        let exact = ExactGemm.matmul(&a, &b);
+        let d4 = AnalogGemm::new(PDac::with_optimal_approx(4).unwrap(), "p4")
+            .matmul(&a, &b)
+            .distance(&exact);
+        let d8 = AnalogGemm::new(pdac8(), "p8")
+            .matmul(&a, &b)
+            .distance(&exact);
+        assert!(d8 < d4, "8-bit {d8} vs 4-bit {d4}");
     }
 
-    use pdac_core::ideal::IdealDac;
+    /// e-DAC beats the hybrid, which beats the P-DAC: each converter's
+    /// error lands only on the operand side it drives.
+    #[test]
+    fn hybrid_accuracy_between_pure_paths() {
+        let a = random_mat(8, 16, 21);
+        let b = random_mat(16, 8, 22);
+        let exact = ExactGemm.matmul(&a, &b);
+        let dist = |g: AnalogGemm| g.matmul(&a, &b).distance(&exact);
+        let dp = dist(AnalogGemm::new(pdac8(), "pp"));
+        let de = dist(AnalogGemm::new(edac8(), "ee"));
+        let dh = dist(AnalogGemm::hybrid(pdac8(), edac8(), "hybrid"));
+        assert!(de < dh && dh < dp, "{de} < {dh} < {dp} violated");
+    }
+
+    #[test]
+    #[should_panic(expected = "share a bit width")]
+    fn hybrid_rejects_mismatched_bits() {
+        AnalogGemm::hybrid(pdac8(), ElectricalDac::new(4).unwrap(), "bad");
+    }
+
+    /// The LUT + weight-cache path must reproduce the naive
+    /// quantize→scalar-convert→reference-matmul pipeline exactly, on a
+    /// miss and on a hit, for every physical driver pair.
+    #[test]
+    fn cached_path_is_bit_identical_to_direct() {
+        let a = random_mat(9, 13, 31);
+        let b = random_mat(13, 6, 32);
+        let pairs: [(&dyn MzmDriver, &dyn MzmDriver, AnalogGemm); 3] = [
+            (&pdac8(), &pdac8(), AnalogGemm::new(pdac8(), "p8")),
+            (&edac8(), &edac8(), AnalogGemm::new(edac8(), "e8")),
+            (
+                &pdac8(),
+                &edac8(),
+                AnalogGemm::hybrid(pdac8(), edac8(), "hy"),
+            ),
+        ];
+        for (driver_a, driver_b, backend) in pairs {
+            let direct_a = QuantizedMat::quantize(&a, 8).dequantize_with(driver_a);
+            let direct_b = QuantizedMat::quantize(&b, 8).dequantize_with(driver_b);
+            let direct = direct_a.matmul_reference(&direct_b).unwrap();
+            assert_eq!(backend.matmul(&a, &b), direct, "{} miss", backend.name());
+            assert_eq!(backend.matmul(&a, &b), direct, "{} hit", backend.name());
+        }
+    }
+
+    #[test]
+    fn analog_gemm_zero_operand() {
+        let a = Mat::zeros(3, 3);
+        let b = random_mat(3, 3, 9);
+        let got = AnalogGemm::new(pdac8(), "p8").matmul(&a, &b);
+        assert!(got.max_abs() < 1e-12);
+    }
 
     /// The ideal (code-linear) driver must take the integer route, and
     /// its output must be **exactly** `fl(f · Σ ca·cb)` with
@@ -1247,7 +859,7 @@ mod tests {
         let a = random_mat(7, 33, 201);
         let b = random_mat(33, 11, 202);
         let ideal = AnalogGemm::new(IdealDac::new(8).unwrap(), "ideal8");
-        assert!(ideal.lut().is_code_linear());
+        assert!(ideal.int8);
         let got = ideal.matmul(&a, &b);
         let qa = QuantizedMat::quantize(&a, 8);
         let qb = QuantizedMat::quantize(&b, 8);
@@ -1277,8 +889,7 @@ mod tests {
         let a = random_mat(6, 40, 203);
         let b = random_mat(40, 9, 204);
         let driver = IdealDac::new(8).unwrap();
-        let ideal = AnalogGemm::new(driver, "ideal8");
-        let got = ideal.matmul(&a, &b);
+        let got = AnalogGemm::new(driver, "ideal8").matmul(&a, &b);
         let direct_a = QuantizedMat::quantize(&a, 8).dequantize_with(&driver);
         let direct_b = QuantizedMat::quantize(&b, 8).dequantize_with(&driver);
         let direct = direct_a.matmul_reference(&direct_b).unwrap();
@@ -1286,102 +897,5 @@ mod tests {
             let tol = 1e-12 * d.abs().max(1.0);
             assert!((g - d).abs() <= tol, "{g} vs {d}");
         }
-    }
-
-    /// All the backend invariants the f64 path guarantees must survive
-    /// the integer route: batch rows ≡ solo rows, transient ≡ cached,
-    /// grouped rows ≡ solo transients, `matmul_into` ≡ `matmul`.
-    #[test]
-    fn ideal_integer_route_preserves_backend_identities() {
-        let ideal = AnalogGemm::new(IdealDac::new(8).unwrap(), "ideal8");
-        let mut a = random_mat(5, 16, 205);
-        for (r, f) in [(0usize, 10.0), (1, 0.01)] {
-            for v in a.row_slice_mut(r) {
-                *v *= f;
-            }
-        }
-        let b = random_mat(16, 8, 206);
-        assert_batch_rows_match(&ideal, &a, &b);
-        let mut out = Mat::zeros(1, 1);
-        ideal.matmul_into(&a, &b, &mut out);
-        assert_eq!(out, ideal.matmul(&a, &b));
-        ideal.matmul_transient_into(&a, &b, &mut out);
-        assert_eq!(out, ideal.matmul(&a, &b));
-        let (g, k, n) = (4, 8, 6);
-        let ga = random_mat(g, k, 207);
-        let gb = random_mat(g * k, n, 208);
-        assert_grouped_rows_match(&ideal, &ga, &gb);
-        // Hybrid with both paths ideal routes through integers too.
-        let hybrid =
-            AsymmetricGemm::new(IdealDac::new(8).unwrap(), IdealDac::new(8).unwrap(), "ii");
-        assert_batch_rows_match(&hybrid, &a, &b);
-        assert_grouped_rows_match(&hybrid, &ga, &gb);
-    }
-
-    /// Forcing the product-LUT route (floor 0) must not change a single
-    /// bit relative to the default f64 pipeline, for physical drivers and
-    /// the hybrid pair alike — the route's whole premise.
-    #[test]
-    fn product_lut_route_is_bit_identical_to_default_path() {
-        let a = random_mat(5, 24, 211);
-        let b = random_mat(24, 10, 212);
-        let cases: Vec<(Box<dyn GemmBackend>, Box<dyn GemmBackend>)> = vec![
-            (
-                Box::new(AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "p8")),
-                Box::new(
-                    AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "p8lut")
-                        .with_product_lut_floor(0),
-                ),
-            ),
-            (
-                Box::new(AnalogGemm::new(ElectricalDac::new(8).unwrap(), "e8")),
-                Box::new(
-                    AnalogGemm::new(ElectricalDac::new(8).unwrap(), "e8lut")
-                        .with_product_lut_floor(0),
-                ),
-            ),
-            (
-                Box::new(AsymmetricGemm::new(
-                    PDac::with_optimal_approx(8).unwrap(),
-                    ElectricalDac::new(8).unwrap(),
-                    "hy",
-                )),
-                Box::new(
-                    AsymmetricGemm::new(
-                        PDac::with_optimal_approx(8).unwrap(),
-                        ElectricalDac::new(8).unwrap(),
-                        "hylut",
-                    )
-                    .with_product_lut_floor(0),
-                ),
-            ),
-        ];
-        let mut plain = Mat::zeros(1, 1);
-        let mut routed = Mat::zeros(1, 1);
-        for (default, forced) in &cases {
-            assert_eq!(
-                forced.matmul(&a, &b),
-                default.matmul(&a, &b),
-                "{}",
-                forced.name()
-            );
-            default.matmul_batch_into(&a, &b, &mut plain);
-            forced.matmul_batch_into(&a, &b, &mut routed);
-            assert_eq!(routed, plain, "{} batch", forced.name());
-        }
-    }
-
-    /// The forced product-LUT route must also satisfy the batch row
-    /// identity on its own terms (per-row tables vs the solo path).
-    #[test]
-    fn product_lut_route_batch_rows_match_single_rows() {
-        let mut a = random_mat(4, 16, 213);
-        for v in a.row_slice_mut(0) {
-            *v *= 7.0;
-        }
-        let b = random_mat(16, 8, 214);
-        let forced = AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "p8lut")
-            .with_product_lut_floor(0);
-        assert_batch_rows_match(&forced, &a, &b);
     }
 }

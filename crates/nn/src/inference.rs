@@ -131,6 +131,7 @@ impl EncoderLayer {
         let scale = 1.0 / (dh as f64).sqrt();
         let s = x.rows();
         let mut context = Mat::zeros(s, config.hidden);
+        let mut prod = Mat::zeros(1, 1);
         for head in 0..config.heads {
             let cols = head * dh..(head + 1) * dh;
             let qh = Mat::from_fn(s, dh, |r, c| q[(r, cols.start + c)]);
@@ -138,7 +139,10 @@ impl EncoderLayer {
             let vh = Mat::from_fn(s, dh, |r, c| v[(r, cols.start + c)]);
             // Scores and attention-weighted values run on the photonic
             // cores too (these are the "dynamic" matmuls LT emphasizes).
-            let mut scores = backend.matmul(&qh, &kh.transpose()).map(|x| x * scale);
+            // Their right operands are built per call, so they go through
+            // the transient entry point and stay out of the weight cache.
+            backend.matmul_transient_into(&qh, &kh.transpose(), &mut prod);
+            let mut scores = prod.map(|x| x * scale);
             if causal {
                 for r in 0..s {
                     for c in (r + 1)..s {
@@ -147,10 +151,10 @@ impl EncoderLayer {
                 }
             }
             let probs = softmax_rows(&scores);
-            let ctx = backend.matmul(&probs, &vh);
+            backend.matmul_transient_into(&probs, &vh, &mut prod);
             for r in 0..s {
                 for c in 0..dh {
-                    context[(r, cols.start + c)] = ctx[(r, c)];
+                    context[(r, cols.start + c)] = prod[(r, c)];
                 }
             }
         }
@@ -568,6 +572,20 @@ mod tests {
         let weight_matmuls = 2 * 6;
         assert_eq!(pdac.cache().hits(), (steps as u64 - 1) * weight_matmuls);
         assert!(pdac.cache().misses() >= weight_matmuls);
+    }
+
+    #[test]
+    fn forward_caches_only_the_weights() {
+        // Per-head Q·Kᵀ and P·V operands are built per call: they must
+        // not take weight-cache slots, so two forward passes leave
+        // exactly one miss per weight matrix (six per layer).
+        let m = tiny_model();
+        let pdac = AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "pdac");
+        let _ = m.forward(&m.random_input(1), &pdac);
+        let _ = m.forward(&m.random_input(2), &pdac);
+        let weights = 6 * m.config().layers as u64;
+        assert_eq!(pdac.cache().misses(), weights);
+        assert_eq!(pdac.cache().hits(), weights);
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //! * [`prepared`] — pre-converted operands and the [`prepared::WeightCache`]
 //!   memo that lets a GEMM backend quantize+convert a weight matrix once
 //!   and reuse it across every decode step;
-//! * [`gemm`] — pluggable GEMM backends: exact `f64`, and an analog
-//!   backend that pushes every operand through an
-//!   [`pdac_core::MzmDriver`] (P-DAC or electrical DAC) before the —
-//!   physically exact — photonic dot product;
+//! * [`gemm`] — pluggable GEMM backends: exact `f64`, and one analog
+//!   backend that pushes activations and weights through a pair of
+//!   [`pdac_core::MzmDriver`]s (P-DAC, electrical DAC, or the hybrid
+//!   P-DAC/e-DAC pair) before the — physically exact — photonic dot
+//!   product, with an exact integer route for code-linear drivers;
 //! * [`config`] — model shape descriptions ([`config::TransformerConfig::bert_base`],
 //!   [`config::TransformerConfig::deit_base`]);
 //! * [`workload`] — op-trace generation: exact MAC counts, bytes moved
@@ -62,7 +63,7 @@ pub mod workload;
 
 pub use batch::{BatchedKvCache, DecodeScratch};
 pub use config::TransformerConfig;
-pub use gemm::{AnalogGemm, AsymmetricGemm, ExactGemm, GemmBackend};
+pub use gemm::{AnalogGemm, ExactGemm, GemmBackend};
 pub use inference::{KvCache, TransformerModel};
 pub use paged::{prefix_block_hashes, KvStats, PageAllocator, PageId, PagedConfig, PagedKvCache};
 pub use prepared::{PreparedOperand, WeightCache};

@@ -6,21 +6,40 @@
 //! `scale · driver.convert(code)` — so replacing the ideal driver with a
 //! P-DAC injects exactly the approximation error of paper Sec. III-C into
 //! every operand.
+//!
+//! A block (tensor, row or row block) holding an `Inf` or `NaN` gets a
+//! NaN scale: it quantizes without failing and dequantizes to all-NaN,
+//! so bad input poisons exactly the GEMM outputs it feeds.
 
 use pdac_core::converter::MzmDriver;
 use pdac_math::quant::abs_max;
 use pdac_math::{Mat, Quantizer};
 
 /// The shared scale rule: symmetric `max|x|`, unit scale for all-zero
-/// data so the quantizer stays valid.
+/// data so the quantizer stays valid, and NaN for data holding an `Inf`
+/// or `NaN` — the block then dequantizes to all-NaN, so every output a
+/// non-finite block feeds is NaN and nothing else changes.
 #[inline]
 fn scale_of(xs: &[f64]) -> f64 {
     let m = abs_max(xs);
-    if m == 0.0 {
+    // A branch-free OR over every element vectorizes; an early-exit
+    // `any` does not, and this scan runs on every quantized block.
+    if !m.is_finite() || xs.iter().fold(false, |nan, x| nan | x.is_nan()) {
+        f64::NAN
+    } else if m == 0.0 {
         1.0
     } else {
         m
     }
+}
+
+/// The quantizer for a [`scale_of`] scale. A non-finite block's codes
+/// are never seen (its NaN scale poisons them on dequantization), so it
+/// quantizes at unit scale instead of failing.
+#[inline]
+fn quantizer(bits: u8, scale: f64) -> Quantizer {
+    let scale = if scale.is_nan() { 1.0 } else { scale };
+    Quantizer::new(bits, scale).expect("validated bit width and positive scale")
 }
 
 /// A tensor quantized to signed codes with one per-tensor scale.
@@ -68,7 +87,7 @@ impl QuantizedMat {
     }
 
     fn quantize_with_scale(x: &Mat, bits: u8, scale: f64) -> Self {
-        let q = Quantizer::new(bits, scale).expect("validated bit width and positive scale");
+        let q = quantizer(bits, scale);
         let mut codes = Vec::new();
         q.quantize_slice(x.as_slice(), &mut codes);
         Self {
@@ -102,8 +121,12 @@ impl QuantizedMat {
 
     /// Ideal dequantization (no converter error).
     pub fn dequantize_ideal(&self) -> Mat {
-        let q = Quantizer::new(self.bits, self.scale).expect("stored params are valid");
-        let data = self.codes.iter().map(|&c| q.dequantize(c)).collect();
+        let unit = quantizer(self.bits, 1.0);
+        let data = self
+            .codes
+            .iter()
+            .map(|&c| unit.dequantize(c) * self.scale)
+            .collect();
         Mat::from_rows(self.rows, self.cols, data).expect("shape preserved")
     }
 
@@ -163,7 +186,7 @@ impl RowQuantizedMat {
         for r in 0..x.rows() {
             let row = x.row_slice(r);
             let scale = scale_of(row);
-            let q = Quantizer::new(bits, scale).expect("validated bit width and positive scale");
+            let q = quantizer(bits, scale);
             q.quantize_slice(row, &mut codes);
             scales.push(scale);
         }
@@ -259,7 +282,7 @@ impl GroupQuantizedMat {
         let mut scales = Vec::with_capacity(x.rows() / block_rows);
         for block in x.as_slice().chunks_exact(block_len) {
             let scale = scale_of(block);
-            let q = Quantizer::new(bits, scale).expect("validated bit width and positive scale");
+            let q = quantizer(bits, scale);
             q.quantize_slice(block, &mut codes);
             scales.push(scale);
         }
@@ -324,7 +347,7 @@ impl GroupQuantizedMat {
 /// clear-and-reused scratch.
 pub(crate) fn quantize_tensor_i16(xs: &[f64], bits: u8, codes: &mut Vec<i16>) -> f64 {
     let scale = scale_of(xs);
-    let q = Quantizer::new(bits, scale).expect("validated bit width and positive scale");
+    let q = quantizer(bits, scale);
     codes.clear();
     codes.resize(xs.len(), 0);
     q.quantize_slice_i16(xs, codes);
@@ -362,7 +385,7 @@ pub(crate) fn quantize_blocks_i16(
         .zip(codes.chunks_exact_mut(block_len))
     {
         let scale = scale_of(block);
-        let q = Quantizer::new(bits, scale).expect("validated bit width and positive scale");
+        let q = quantizer(bits, scale);
         q.quantize_slice_i16(block, out);
         scales.push(scale);
     }

@@ -68,8 +68,7 @@ use pdac_telemetry::HistogramSummary;
 use pdac_core::edac::ElectricalDac;
 use pdac_core::pdac::PDac;
 use pdac_nn::{
-    AnalogGemm, AsymmetricGemm, ExactGemm, GemmBackend, PagedConfig, TransformerConfig,
-    TransformerModel,
+    AnalogGemm, ExactGemm, GemmBackend, PagedConfig, TransformerConfig, TransformerModel,
 };
 use pdac_power::meter::EnergyMeter;
 use pdac_power::model::{DriverKind, PowerModel};
@@ -245,7 +244,7 @@ fn main() {
             PDac::with_optimal_approx(8).expect("8-bit pdac"),
             "pdac-8b",
         )),
-        "hybrid" => Box::new(AsymmetricGemm::new(
+        "hybrid" => Box::new(AnalogGemm::hybrid(
             PDac::with_optimal_approx(8).expect("8-bit pdac"),
             ElectricalDac::new(8).expect("8-bit edac"),
             "hybrid-8b",
@@ -457,11 +456,12 @@ fn main() {
     #[cfg(feature = "sentinel")]
     if let Some(stats) = &sentinel_stats {
         println!(
-            "serve: sentinel sampled={} scored={} dropped={} alerts={} worst_frac={:.3} \
-             failover_steps={}",
+            "serve: sentinel sampled={} scored={} dropped={} skipped={} alerts={} \
+             worst_frac={:.3} failover_steps={}",
             stats.sampled,
             stats.scored,
             stats.dropped,
+            stats.skipped,
             stats.alerts,
             stats.worst_frac,
             server.failover_steps(),

@@ -30,7 +30,7 @@ use pdac_core::pdac::PDac;
 use pdac_math::gemm::{gemm, gemm_prepacked, gemm_scoped, PackedB};
 use pdac_math::rng::SplitMix64;
 use pdac_math::Mat;
-use pdac_nn::gemm::{AnalogGemm, AsymmetricGemm, ExactGemm, GemmBackend};
+use pdac_nn::gemm::{AnalogGemm, ExactGemm, GemmBackend};
 use pdac_nn::quant::QuantizedMat;
 use pdac_nn::{
     prefix_block_hashes, BatchedKvCache, DecodeScratch, KvCache, PagedConfig, PagedKvCache,
@@ -818,9 +818,10 @@ fn direct_analog_gemm(a: &Mat, b: &Mat, driver_a: &dyn MzmDriver, driver_b: &dyn
 
 /// Runs one cached backend over every shape twice (second pass answers
 /// from the weight cache) and bit-compares against the direct pipeline.
-fn cached_backend_checks<D: MzmDriver>(
+fn cached_backend_checks(
     label: &str,
-    backend: &AnalogGemm<D>,
+    driver: &dyn MzmDriver,
+    backend: &AnalogGemm,
     cfg: &ConformanceConfig,
     rng: &mut SplitMix64,
 ) -> Vec<CheckResult> {
@@ -828,7 +829,7 @@ fn cached_backend_checks<D: MzmDriver>(
     for &(m, k, n) in &cfg.gemm_shapes {
         let a = random_mat(m, k, rng);
         let b = random_mat(k, n, rng);
-        let golden = direct_analog_gemm(&a, &b, backend.driver(), backend.driver());
+        let golden = direct_analog_gemm(&a, &b, driver, driver);
         diffs += differing_bits(&backend.matmul(&a, &b), &golden);
         diffs += differing_bits(&backend.matmul(&a, &b), &golden);
     }
@@ -866,12 +867,18 @@ fn cached_gemm_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
     let edac = ElectricalDac::new(bits).expect("valid bits");
 
     let pdac_backend = AnalogGemm::new(pdac.clone(), "pdac8");
-    let mut checks = cached_backend_checks("pdac", &pdac_backend, cfg, &mut rng);
+    let mut checks = cached_backend_checks("pdac", &pdac, &pdac_backend, cfg, &mut rng);
     let edac_backend = AnalogGemm::new(edac, "edac8");
-    checks.extend(cached_backend_checks("edac", &edac_backend, cfg, &mut rng));
+    checks.extend(cached_backend_checks(
+        "edac",
+        &edac,
+        &edac_backend,
+        cfg,
+        &mut rng,
+    ));
 
     // Hybrid path: P-DAC activations, electrical weights.
-    let hybrid = AsymmetricGemm::new(pdac.clone(), edac, "hybrid");
+    let hybrid = AnalogGemm::hybrid(pdac.clone(), edac, "hybrid");
     let mut diffs = 0usize;
     for &(m, k, n) in &cfg.gemm_shapes {
         let a = random_mat(m, k, &mut rng);
@@ -1105,13 +1112,8 @@ fn fault_gemm_check(cfg: &ConformanceConfig) -> CheckResult {
 
 /// Integer-domain routing conformance (DESIGN.md §16).
 ///
-/// Three guarantees, one row each:
+/// Two guarantees, one row each:
 ///
-/// * `gemm.int8.{pdac,edac,hybrid}.vs_f64_path` — forcing the
-///   product-LUT gather route (floor 0) must reproduce the default f64
-///   pipeline **bit for bit** for the physical drivers: the 64 Ki-entry
-///   table holds exactly the per-term products the f64 path computes,
-///   gathered in the same ascending-`k` order.
 /// * `gemm.int8.ideal.vs_integer_reference` — the code-linear ideal
 ///   driver's automatic integer route must equal a hand-rolled exact
 ///   `i32` triple loop with the dequantize-at-the-end factor, bitwise.
@@ -1120,66 +1122,8 @@ fn fault_gemm_check(cfg: &ConformanceConfig) -> CheckResult {
 ///   exact accumulation + one final multiply), so it carries a tight
 ///   documented tolerance instead of bit identity.
 fn int8_route_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
-    /// A named (default f64 route, forced product-LUT route) backend pair.
-    type RoutedPair = (&'static str, Box<dyn GemmBackend>, Box<dyn GemmBackend>);
     let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ 0x18_D0);
     let mut checks = Vec::new();
-    let pairs: Vec<RoutedPair> = vec![
-        (
-            "pdac",
-            Box::new(AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "p8")),
-            Box::new(
-                AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "p8lut")
-                    .with_product_lut_floor(0),
-            ),
-        ),
-        (
-            "edac",
-            Box::new(AnalogGemm::new(ElectricalDac::new(8).unwrap(), "e8")),
-            Box::new(
-                AnalogGemm::new(ElectricalDac::new(8).unwrap(), "e8lut").with_product_lut_floor(0),
-            ),
-        ),
-        (
-            "hybrid",
-            Box::new(AsymmetricGemm::new(
-                PDac::with_optimal_approx(8).unwrap(),
-                ElectricalDac::new(8).unwrap(),
-                "hy",
-            )),
-            Box::new(
-                AsymmetricGemm::new(
-                    PDac::with_optimal_approx(8).unwrap(),
-                    ElectricalDac::new(8).unwrap(),
-                    "hylut",
-                )
-                .with_product_lut_floor(0),
-            ),
-        ),
-    ];
-    for (name, plain, forced) in &pairs {
-        let mut diffs = 0usize;
-        let mut cells = 0usize;
-        let mut batch = Mat::zeros(1, 1);
-        let mut batch_forced = Mat::zeros(1, 1);
-        for &(m, k, n) in &cfg.gemm_shapes {
-            let a = random_mat(m, k, &mut rng);
-            let b = random_mat(k, n, &mut rng);
-            diffs += differing_bits(&forced.matmul(&a, &b), &plain.matmul(&a, &b));
-            plain.matmul_batch_into(&a, &b, &mut batch);
-            forced.matmul_batch_into(&a, &b, &mut batch_forced);
-            diffs += differing_bits(&batch_forced, &batch);
-            cells += 2 * m * n;
-        }
-        checks.push(bit_identity_check(
-            &format!("gemm.int8.{name}.vs_f64_path"),
-            diffs,
-            format!(
-                "forced product-LUT route vs default f64 pipeline, solo + batched, {} shapes / {cells} cells",
-                cfg.gemm_shapes.len()
-            ),
-        ));
-    }
     let ideal_driver = IdealDac::new(8).unwrap();
     let ideal = AnalogGemm::new(ideal_driver, "ideal8");
     let mut ref_diffs = 0usize;

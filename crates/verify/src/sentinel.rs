@@ -245,6 +245,13 @@ pub fn exact_replay(sample: &GemmSample) -> Option<Mat> {
     Mat::from_rows(g, n, out).ok()
 }
 
+/// Whether both sampled input operands are entirely finite.
+fn finite_inputs(sample: &GemmSample) -> bool {
+    [&sample.a, &sample.b]
+        .iter()
+        .all(|m| m.as_slice().iter().all(|v| v.is_finite()))
+}
+
 /// Static telemetry names for one backend class (names must be
 /// `&'static str` for the zero-dependency collector).
 struct ClassNames {
@@ -277,9 +284,9 @@ static HYBRID_CLASS: ClassNames = ClassNames {
     alert: "health.alert.hybrid",
 };
 
-/// Maps a live backend name onto its drift class. `AsymmetricGemm`
-/// instances (mixed converter pair) land in `hybrid` unless the name
-/// says otherwise.
+/// Maps a live backend name onto its drift class. Hybrid backends
+/// (`AnalogGemm::hybrid`, a mixed converter pair) land in `hybrid` unless
+/// the name says otherwise.
 fn classify(backend: &str) -> &'static ClassNames {
     if backend.contains("edac") || backend.contains("electrical") {
         &EDAC_CLASS
@@ -296,6 +303,7 @@ fn classify(backend: &str) -> &'static ClassNames {
 struct Shared {
     sampled: AtomicU64,
     dropped: AtomicU64,
+    skipped: AtomicU64,
     scored: AtomicU64,
     alerts: AtomicU64,
     /// `f64::to_bits` of the worst `budget_frac` seen (monotone CAS max;
@@ -326,10 +334,14 @@ impl Shared {
 /// [`SentinelHandle::finish`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SentinelStats {
-    /// Samples the policy elected and the tap delivered (incl. dropped).
+    /// Samples the policy elected and the tap delivered (incl. dropped
+    /// and skipped).
     pub sampled: u64,
     /// Samples lost to queue overflow — decode was never blocked for them.
     pub dropped: u64,
+    /// Samples not scored because an input operand held an `Inf` or
+    /// `NaN`: bad input, not converter drift.
+    pub skipped: u64,
     /// Samples the worker replayed and scored.
     pub scored: u64,
     /// Alerts the worker raised into the health ledger.
@@ -430,6 +442,13 @@ fn worker_loop(cfg: SentinelConfig, shared: Arc<Shared>, rx: Receiver<GemmSample
     // Index order: pdac, edac, hybrid.
     let mut ewma: [Option<f64>; 3] = [None; 3];
     for sample in rx.iter() {
+        // A non-finite input makes every error measure infinite; scoring
+        // it would let one bad request latch the server-wide alarm.
+        if !finite_inputs(&sample) {
+            shared.skipped.fetch_add(1, Ordering::Relaxed);
+            pdac_telemetry::counter_add("health.sentinel.skipped_nonfinite", 1);
+            continue;
+        }
         let Some(exact) = exact_replay(&sample) else {
             continue;
         };
@@ -495,6 +514,7 @@ impl SentinelHandle {
         SentinelStats {
             sampled: self.shared.sampled.load(Ordering::Relaxed),
             dropped: self.shared.dropped.load(Ordering::Relaxed),
+            skipped: self.shared.skipped.load(Ordering::Relaxed),
             scored: self.shared.scored.load(Ordering::Relaxed),
             alerts: self.shared.alerts.load(Ordering::Relaxed),
             worst_frac: f64::from_bits(self.shared.worst_frac_bits.load(Ordering::Relaxed)),
@@ -594,6 +614,31 @@ mod tests {
             .alerts()
             .iter()
             .any(|a| a.backend == "pdac8-tia" && a.severity == Severity::Critical));
+        health::reset();
+    }
+
+    #[test]
+    fn non_finite_inputs_are_skipped_not_scored() {
+        let _guard = test_guard();
+        health::reset();
+        let handle = Sentinel::install(full_rate());
+        let backend = AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "pdac8");
+        let mut rng = SplitMix64::seed_from_u64(0xBAD);
+        let mut out = Mat::zeros(1, 1);
+        for bad in [None, Some(f64::NAN), Some(f64::INFINITY), None] {
+            let mut a = random_mat(8, 48, &mut rng);
+            let b = random_mat(48, 12, &mut rng);
+            if let Some(v) = bad {
+                a.row_slice_mut(3)[7] = v;
+            }
+            backend.matmul_batch_into(&a, &b, &mut out);
+        }
+        let stats = handle.finish();
+        assert_eq!(stats.sampled, 4, "{stats:?}");
+        assert_eq!(stats.skipped, 2, "{stats:?}");
+        assert_eq!(stats.scored, 2, "{stats:?}");
+        assert_eq!(stats.alerts, 0, "bad input read as drift: {stats:?}");
+        assert_eq!(health::status(), pdac_telemetry::HealthStatus::Ok);
         health::reset();
     }
 
