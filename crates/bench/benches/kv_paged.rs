@@ -1,24 +1,25 @@
-//! Paged vs flat KV cache: memory footprint and throughput of a
-//! shared-prefix decode batch.
+//! Prefix sharing vs no sharing in the paged KV cache: memory footprint
+//! and throughput of a shared-prefix decode batch.
 //!
-//! The workload is the serving shape that paging exists for: `BATCH`
-//! sequences whose prompts share a long common prefix (75% by default).
-//! The flat side decodes every sequence's full prompt through
-//! `BatchedKvCache`; the paged side computes the shared prefix **once**,
-//! publishes it, and maps it into every slot via `lookup_prefix`, then
-//! decodes only the divergent tails. Both sides must produce
-//! bit-identical final hidden states — asserted every rep.
+//! The workload is the serving shape that prefix sharing exists for:
+//! `BATCH` sequences whose prompts share a long common prefix (75% by
+//! default). The "flat" side is the same paged store without prefix
+//! sharing (what `TokenServer::new` serves through): it decodes every
+//! sequence's full prompt. The "paged" side computes the shared prefix
+//! **once**, publishes it, and maps it into every slot via
+//! `lookup_prefix`, then decodes only the divergent tails. Both sides
+//! must produce bit-identical final hidden states — asserted every rep.
 //!
 //! Emits `BENCH_kv.json` (override with `PDAC_BENCH_OUT`) with two
 //! gated ratios per backend:
 //!
-//! * `flat_bytes_over_paged_bytes` — flat KV bytes over paged backing
-//!   bytes (page granularity, shared pages counted once). ≥ 2× at the
+//! * `flat_bytes_over_paged_bytes` — unshared backing bytes over shared
+//!   backing bytes (page granularity, shared pages counted once). ≥ 2× at the
 //!   default 75%-shared shape, i.e. the paged cache fits in ≤ 0.5× the
 //!   flat footprint.
 //! * `paged_tps_over_flat` — end-to-end decode throughput ratio at
 //!   equal serving work. Prefix reuse skips recompute, so this should
-//!   sit ≥ 1; the default-config floor is 0.95 (within 5% of flat).
+//!   sit ≥ 1; the default-config floor is 0.95 (within 5% of unshared).
 //!
 //! Knobs: `PDAC_BENCH_KV_HIDDEN` / `_LAYERS` / `_HEADS` (default
 //! 64/2/4), `_BATCH` (8), `_PROMPT` / `_SHARED` (32/24), `_TOKENS`
@@ -31,8 +32,8 @@ use pdac_core::pdac::PDac;
 use pdac_math::rng::SplitMix64;
 use pdac_math::Mat;
 use pdac_nn::{
-    prefix_block_hashes, AnalogGemm, BatchedKvCache, DecodeScratch, ExactGemm, GemmBackend,
-    PagedConfig, PagedKvCache, TransformerConfig, TransformerModel,
+    prefix_block_hashes, AnalogGemm, ExactGemm, GemmBackend, PagedConfig, PagedKvCache,
+    TransformerConfig, TransformerModel,
 };
 use pdac_serve::feedback_embedding;
 use pdac_telemetry::Json;
@@ -71,18 +72,17 @@ fn feedback_batch(last: &Mat) -> Mat {
     Mat::from_rows(s, hidden, data).expect("feedback batch")
 }
 
-/// Full-prompt decode through the flat batched cache; returns elapsed
-/// seconds, the final hidden rows, and the flat KV byte footprint.
+/// Full-prompt decode through the paged store without prefix sharing;
+/// returns elapsed seconds, the final hidden rows, and the backing bytes.
 fn run_flat(
     model: &TransformerModel,
     backend: &dyn GemmBackend,
     prompt: &[Mat],
     gen: usize,
+    block: usize,
 ) -> (f64, Mat, usize) {
     let s = prompt[0].rows();
-    let hidden = model.config().hidden;
-    let layers = model.config().layers;
-    let mut cache = BatchedKvCache::new(model, s);
+    let mut cache = PagedKvCache::new(model, s, PagedConfig::new(block));
     let start = Instant::now();
     let mut last = model.decode_batch(&prompt[0], &mut cache, backend);
     for tok in &prompt[1..] {
@@ -93,9 +93,7 @@ fn run_flat(
         last = model.decode_batch(&next, &mut cache, backend);
     }
     let elapsed = start.elapsed().as_secs_f64();
-    let rows: usize = (0..s).map(|sq| cache.seq(sq).len()).sum();
-    let flat_bytes = rows * layers * 2 * hidden * 8;
-    (elapsed, last, flat_bytes)
+    (elapsed, last, cache.allocator().backing_bytes())
 }
 
 /// The same workload through the paged cache with prefix sharing: slot 0
@@ -113,7 +111,6 @@ fn run_paged(
     let s = prompt[0].rows();
     let hidden = model.config().hidden;
     let mut cache = PagedKvCache::new(model, s, PagedConfig::new(block));
-    let mut scratch = DecodeScratch::new();
     let mut got = Mat::zeros(1, 1);
     let shared_rows: Vec<Vec<f64>> = prompt[..shared]
         .iter()
@@ -125,7 +122,7 @@ fn run_paged(
     // Shared prefix: computed once on slot 0, published, remapped.
     for tok in &prompt[..shared] {
         let one = Mat::from_fn(1, hidden, |_, c| tok.row_slice(0)[c]);
-        model.decode_paged_with(&one, &mut cache, &[0], backend, &mut scratch, &mut got);
+        model.decode_slots(&one, &mut cache, &[0], backend, &mut got);
     }
     cache.publish_prefix(0, &hashes);
     cache.reset_slot(0);
@@ -136,11 +133,11 @@ fn run_paged(
     // Divergent tails + generation, batched across all slots.
     let mut last = Mat::zeros(s, hidden);
     for tok in &prompt[shared..] {
-        last = model.decode_batch_paged(tok, &mut cache, backend);
+        last = model.decode_batch(tok, &mut cache, backend);
     }
     for _ in 0..gen {
         let next = feedback_batch(&last);
-        last = model.decode_batch_paged(&next, &mut cache, backend);
+        last = model.decode_batch(&next, &mut cache, backend);
     }
     let elapsed = start.elapsed().as_secs_f64();
     let paged_bytes = cache.allocator().backing_bytes();
@@ -198,7 +195,7 @@ fn main() {
         // tokens of completed sequence state.
         let served_tokens = (batch * (prompt_len + gen)) as f64;
         // Warm pass primes the weight caches out of the timed region.
-        let _ = run_flat(&model, backend.as_ref(), &prompt, 1.min(gen));
+        let _ = run_flat(&model, backend.as_ref(), &prompt, 1.min(gen), block);
         let _ = run_paged(&model, backend.as_ref(), &prompt, shared, 1.min(gen), block);
         let mut flat_s = f64::INFINITY;
         let mut paged_s = f64::INFINITY;
@@ -207,11 +204,11 @@ fn main() {
         for rep in 0..reps {
             let (run_a, run_b);
             if rep % 2 == 0 {
-                run_a = run_flat(&model, backend.as_ref(), &prompt, gen);
+                run_a = run_flat(&model, backend.as_ref(), &prompt, gen, block);
                 run_b = run_paged(&model, backend.as_ref(), &prompt, shared, gen, block);
             } else {
                 run_b = run_paged(&model, backend.as_ref(), &prompt, shared, gen, block);
-                run_a = run_flat(&model, backend.as_ref(), &prompt, gen);
+                run_a = run_flat(&model, backend.as_ref(), &prompt, gen, block);
             }
             let (fs, flat_last, fb) = run_a;
             let (ps, paged_last, pb) = run_b;
@@ -223,7 +220,10 @@ fn main() {
                 .zip(paged_last.as_slice())
                 .filter(|(x, y)| x.to_bits() != y.to_bits())
                 .count();
-            assert_eq!(diffs, 0, "kv_paged/{label}: paged run diverged from flat");
+            assert_eq!(
+                diffs, 0,
+                "kv_paged/{label}: shared-prefix run diverged from unshared"
+            );
             flat_s = flat_s.min(fs);
             paged_s = paged_s.min(ps);
             flat_bytes = fb;

@@ -16,10 +16,7 @@
 //! is identical for any thread count.
 //!
 //! Parallel dispatch goes through the persistent [`crate::pool`] worker
-//! pool instead of spawning threads per call; [`gemm_scoped`] keeps the
-//! original `std::thread::scope` dispatch as a differential baseline
-//! (same panel split, same kernels) for the verify matrix and the
-//! `pool_vs_scope` microbench.
+//! pool instead of spawning threads per call.
 //!
 //! Thread count comes from [`default_threads`]: the `PDAC_THREADS`
 //! environment variable when set, else [`std::thread::available_parallelism`].
@@ -197,7 +194,7 @@ unsafe impl Send for SendPtr {}
 unsafe impl Sync for SendPtr {}
 
 /// One column chunk of the row-vector × matrix product, ascending-`k`
-/// per cell (shared by the pooled and scoped vecmat dispatches).
+/// per cell (one task of the pooled vecmat dispatch).
 #[inline]
 fn vecmat_chunk(a_row: &[f64], b: &[f64], k: usize, n: usize, c0: usize, out_chunk: &mut [f64]) {
     out_chunk.fill(0.0);
@@ -267,9 +264,9 @@ pub fn gemm(a: &[f64], b: &[f64], m: usize, k: usize, n: usize, out: &mut [f64],
 }
 
 /// Row-panel dispatch of the packed kernel over the persistent pool.
-/// The panel split matches the scoped path (`m.div_ceil(threads)` rows
-/// per task), and the per-cell reduction is independent of the split, so
-/// results are bit-identical for every `threads` value.
+/// Row panels of `m.div_ceil(threads)` rows per task; the per-cell
+/// reduction is independent of the split, so results are bit-identical
+/// for every `threads` value.
 fn gemm_packed_pooled(
     a: &[f64],
     bp: &[f64],
@@ -289,60 +286,6 @@ fn gemm_packed_pooled(
         let out_panel =
             unsafe { std::slice::from_raw_parts_mut(out_ptr.get().add(r0 * n), rows * n) };
         gemm_panel_packed(&a[r0 * k..(r0 + rows) * k], bp, k, n, out_panel);
-    });
-}
-
-/// The pre-pool GEMM dispatch: identical panel split and kernels to
-/// [`gemm`], but parallel work spawns fresh `std::thread::scope` threads
-/// per call. Kept as the differential baseline the verify matrix checks
-/// the pooled path against, and as the "before" side of the
-/// `pool_vs_scope` microbench.
-pub fn gemm_scoped(
-    a: &[f64],
-    b: &[f64],
-    m: usize,
-    k: usize,
-    n: usize,
-    out: &mut [f64],
-    threads: usize,
-) {
-    assert_eq!(a.len(), m * k, "lhs length");
-    assert_eq!(b.len(), k * n, "rhs length");
-    assert_eq!(out.len(), m * n, "output length");
-    let macs = m * k * n;
-    if m == 1 {
-        let threads = if macs >= PAR_MIN_MACS { threads } else { 1 };
-        let threads = threads.clamp(1, n);
-        if threads == 1 {
-            vecmat_chunk(a, b, k, n, 0, out);
-            return;
-        }
-        let chunk = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (t, out_chunk) in out.chunks_mut(chunk).enumerate() {
-                scope.spawn(move || vecmat_chunk(a, b, k, n, t * chunk, out_chunk));
-            }
-        });
-        return;
-    }
-    if macs < PACK_MIN_MACS || m < MR {
-        out.fill(0.0);
-        gemm_panel_axpy(a, b, k, n, out);
-        return;
-    }
-    let mut bp = Vec::new();
-    pack_b_panels(b, k, n, &mut bp);
-    let threads = threads.clamp(1, m);
-    if threads == 1 || macs < PAR_MIN_MACS {
-        gemm_panel_packed(a, &bp, k, n, out);
-        return;
-    }
-    let rows_per = m.div_ceil(threads);
-    let bp = &bp;
-    std::thread::scope(|scope| {
-        for (a_panel, out_panel) in a.chunks(rows_per * k).zip(out.chunks_mut(rows_per * n)) {
-            scope.spawn(move || gemm_panel_packed(a_panel, bp, k, n, out_panel));
-        }
     });
 }
 
@@ -615,16 +558,15 @@ mod tests {
     }
 
     #[test]
-    fn pooled_matches_scoped_bitwise() {
+    fn pooled_matches_reference_bitwise() {
         for (m, k, n) in [(1, 80, 90), (5, 7, 3), (33, 17, 29), (96, 80, 72)] {
             let a = random(m * k, 41 + m as u64);
             let b = random(k * n, 42 + n as u64);
+            let want = reference(&a, &b, m, k, n);
             for threads in [1, 2, 7] {
                 let mut pooled = vec![f64::NAN; m * n];
-                let mut scoped = vec![f64::NAN; m * n];
                 gemm(&a, &b, m, k, n, &mut pooled, threads);
-                gemm_scoped(&a, &b, m, k, n, &mut scoped, threads);
-                assert_eq!(pooled, scoped, "m={m} k={k} n={n} threads={threads}");
+                assert_eq!(pooled, want, "m={m} k={k} n={n} threads={threads}");
             }
         }
     }

@@ -19,8 +19,8 @@
 //! Determinism: the pool only changes *which thread* computes a task,
 //! never what the task computes. The GEMM kernels assign each output
 //! cell to exactly one task and accumulate it in ascending-`k` order, so
-//! results are bit-identical to the single-threaded and scoped-spawn
-//! paths for every pool size (see [`crate::gemm`] module docs).
+//! results are bit-identical to the single-threaded path for every pool
+//! size (see [`crate::gemm`] module docs).
 //!
 //! Sizing follows [`crate::gemm::default_threads`]: the `PDAC_THREADS`
 //! environment variable when set, else the machine's available

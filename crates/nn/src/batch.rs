@@ -19,10 +19,15 @@
 //! ([`crate::gemm::GemmBackend::matmul_grouped_transient_into`]) instead
 //! of `2·S` tiny per-sequence matmuls, with the scale + softmax pass
 //! vectorized over the grouped `G × L` score matrix. Every per-step
-//! buffer lives in a caller-owned [`DecodeScratch`], so the hot path
+//! buffer lives in the cache's [`DecodeScratch`], so the hot path
 //! performs no per-token matrix allocations once the scratch is primed.
 //! The `nn.decode.attention.group_size` histogram records one sample per
 //! slot-group per step. See DESIGN.md §14.
+//!
+//! K/V rows live in one store, the [`PagedKvCache`]; the three decode
+//! entry points ([`TransformerModel::decode_step`],
+//! [`TransformerModel::decode_batch`] and
+//! [`TransformerModel::decode_slots`]) are thin wrappers over one core.
 //!
 //! **Bit-identity contract:** row `s` of [`TransformerModel::decode_batch`]
 //! is bit-identical to feeding that sequence's token through
@@ -30,12 +35,13 @@
 //! kernels reduce each output cell in ascending-k order regardless of
 //! batching or grouping (see `pdac_math::gemm`), activation quantization
 //! is per-row ([`crate::quant::RowQuantizedMat`]) and stacked-operand
-//! quantization per-block ([`crate::quant::GroupQuantizedMat`]), and
+//! quantization per-block ([`crate::quant::GroupQuantizedMat`]), the
+//! page-table gathers are pure data movement, and
 //! softmax/layer-norm/GELU are row-local. The `pdac-verify` conformance
 //! matrix asserts this, including ragged multi-group batches.
 
 use crate::gemm::GemmBackend;
-use crate::inference::{KvCache, TransformerModel};
+use crate::inference::TransformerModel;
 use crate::ops::{gelu_mat_inplace, layer_norm_rows_inplace, residual_into, softmax_rows_inplace};
 use crate::paged::PagedKvCache;
 use pdac_math::Mat;
@@ -43,13 +49,12 @@ use pdac_power::OpClass;
 
 /// Reusable per-step buffers for the decode hot path.
 ///
-/// Create once (per serving thread) and pass to
-/// [`TransformerModel::decode_batch`] /
-/// [`TransformerModel::decode_step_with`] on every step; all matrices
-/// are resized in place, so after the first step at a given batch shape
-/// the engine allocates nothing per token. The number of steps that
-/// reused a warm scratch is available as [`DecodeScratch::reuses`] and
-/// on the `nn.decode.scratch_reuse` telemetry counter.
+/// Every [`PagedKvCache`] owns one ([`PagedKvCache::scratch`]); all
+/// matrices are resized in place, so after the first step at a given
+/// batch shape the engine allocates nothing per token. The number of
+/// steps that reused a warm scratch is available as
+/// [`DecodeScratch::reuses`] and on the `nn.decode.scratch_reuse`
+/// telemetry counter.
 #[derive(Debug)]
 pub struct DecodeScratch {
     // Batched S × · activations (ping-ponged through the layer stack).
@@ -81,15 +86,10 @@ pub struct DecodeScratch {
 }
 
 impl Default for DecodeScratch {
+    /// An empty scratch; buffers grow on first use. Allocation-free, so
+    /// the decode core can swap it out of its cache for the step.
     fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DecodeScratch {
-    /// An empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        let mat = || Mat::zeros(1, 1);
+        let mat = || Mat::from_rows(0, 0, Vec::new()).expect("empty matrix");
         Self {
             x: mat(),
             q: mat(),
@@ -111,7 +111,9 @@ impl DecodeScratch {
             reuses: 0,
         }
     }
+}
 
+impl DecodeScratch {
     /// How many decode calls reused this scratch's warm buffers (i.e.
     /// ran without growing any batched activation allocation).
     pub fn reuses(&self) -> u64 {
@@ -119,115 +121,15 @@ impl DecodeScratch {
     }
 }
 
-/// The K/V rows a decode step reads and appends, behind one indirection:
-/// either the flat per-sequence [`KvCache`] vectors or a
-/// [`PagedKvCache`]'s page tables. The decode core is written against
-/// this enum only, so both layouts run the *same* arithmetic in the same
-/// order — the gathers below are pure data movement, which is what keeps
-/// the paged path inside the bit-identity contract.
-pub(crate) enum KvRows<'a, 'c> {
-    /// Disjoint per-sequence caches (the original layout).
-    Flat(&'a mut [&'c mut KvCache]),
-    /// Page-table indirection: batch row `i` decodes slot `slots[i]` of
-    /// the paged cache.
-    Paged {
-        cache: &'a mut PagedKvCache,
-        slots: &'a [usize],
-    },
-}
-
-impl KvRows<'_, '_> {
-    /// Number of sequences in this batch.
-    fn seqs(&self) -> usize {
-        match self {
-            KvRows::Flat(caches) => caches.len(),
-            KvRows::Paged { slots, .. } => slots.len(),
-        }
-    }
-
-    /// Validates every sequence against the model's layer count (and,
-    /// in debug builds, flat caches against per-layer length skew —
-    /// the guard behind the documented [`BatchedKvCache::seq_mut`]
-    /// contract).
-    fn assert_layers(&self, model_layers: usize) {
-        match self {
-            KvRows::Flat(caches) => {
-                for cache in caches.iter() {
-                    assert_eq!(cache.layers.len(), model_layers, "cache layer mismatch");
-                    debug_assert!(
-                        cache.layers.iter().all(|l| l.len() == cache.len()),
-                        "ragged per-layer KV lengths: caches mutated via seq_mut \
-                         must keep every layer at the same length"
-                    );
-                }
-            }
-            KvRows::Paged { cache, .. } => {
-                assert_eq!(cache.layer_count(), model_layers, "cache layer mismatch");
-            }
-        }
-    }
-
-    /// Cached tokens for batch row `i`.
-    fn len(&self, i: usize) -> usize {
-        match self {
-            KvRows::Flat(caches) => caches[i].len(),
-            KvRows::Paged { cache, slots } => cache.seq_len(slots[i]),
-        }
-    }
-
-    /// Sum of cached tokens across the batch (post-push, for the energy
-    /// meter).
-    fn total_len(&self) -> u64 {
-        (0..self.seqs()).map(|i| self.len(i) as u64).sum()
-    }
-
-    /// Appends this step's K/V row for batch row `i` at layer `li`.
-    fn push_row(&mut self, li: usize, i: usize, k: &[f64], v: &[f64]) {
-        match self {
-            KvRows::Flat(caches) => caches[i].layers[li].push_row(k, v),
-            KvRows::Paged { cache, slots } => cache.push_row(slots[i], li, k, v),
-        }
-    }
-
-    /// Transposed key gather for batch row `i`, head columns
-    /// `c0..c0 + dh`: writes `out[r * l + t] = K[t][c0 + r]` — identical
-    /// element order for both layouts.
-    fn gather_kt(&self, li: usize, i: usize, c0: usize, dh: usize, l: usize, out: &mut [f64]) {
-        match self {
-            KvRows::Flat(caches) => {
-                for (t, key) in caches[i].layers[li].k.iter().enumerate() {
-                    for (r, &kv) in key[c0..c0 + dh].iter().enumerate() {
-                        out[r * l + t] = kv;
-                    }
-                }
-            }
-            KvRows::Paged { cache, slots } => cache.gather_kt(slots[i], li, c0, dh, l, out),
-        }
-    }
-
-    /// Value gather for batch row `i`: writes
-    /// `out[t * dh..(t + 1) * dh] = V[t][c0..c0 + dh]`.
-    fn gather_v(&self, li: usize, i: usize, c0: usize, dh: usize, out: &mut [f64]) {
-        match self {
-            KvRows::Flat(caches) => {
-                for (t, val) in caches[i].layers[li].v.iter().enumerate() {
-                    out[t * dh..(t + 1) * dh].copy_from_slice(&val[c0..c0 + dh]);
-                }
-            }
-            KvRows::Paged { cache, slots } => cache.gather_v(slots[i], li, c0, dh, out),
-        }
-    }
-}
-
-/// The shared batched decode core: advances each sequence in `kv`
-/// by its row of `tokens`, writing the `S × hidden` final hidden states
-/// into `out`.
+/// The one decode core: advances slot `slots[i]` of `cache` by row `i`
+/// of `tokens`, writing the `S × hidden` final hidden states into `out`.
+/// Every public decode entry point is a thin wrapper over this.
 pub(crate) fn decode_rows(
     model: &TransformerModel,
     tokens: &Mat,
-    kv: &mut KvRows<'_, '_>,
+    cache: &mut PagedKvCache,
+    slots: &[usize],
     backend: &dyn GemmBackend,
-    scratch: &mut DecodeScratch,
     out: &mut Mat,
 ) {
     let config = model.config();
@@ -235,9 +137,24 @@ pub(crate) fn decode_rows(
     let d = config.hidden;
     let ff = config.ff_dim();
     assert_eq!(tokens.cols(), d, "hidden dim mismatch");
-    assert_eq!(kv.seqs(), s, "batch size mismatch");
-    kv.assert_layers(model.layers.len());
+    assert_eq!(slots.len(), s, "batch size mismatch");
+    assert_eq!(
+        cache.layer_count(),
+        model.layers.len(),
+        "cache layer mismatch"
+    );
+    debug_assert!(
+        slots
+            .iter()
+            .all(|&a| slots.iter().filter(|&&b| b == a).count() == 1),
+        "duplicate slot in decode batch"
+    );
+    let _span = pdac_telemetry::span("nn.inference.decode_batch");
+    pdac_telemetry::counter_add("nn.inference.decoded_tokens", s as u64);
 
+    // The scratch rides in the cache; swap it out for the step (its
+    // default is allocation-free) so the page table stays borrowable.
+    let mut scratch = std::mem::take(&mut cache.scratch);
     if scratch.primed && scratch.x.capacity() >= s * d && scratch.h.capacity() >= s * ff {
         scratch.reuses += 1;
         pdac_telemetry::counter_add("nn.decode.scratch_reuse", 1);
@@ -264,7 +181,7 @@ pub(crate) fn decode_rows(
         vg,
         ctx,
         ..
-    } = scratch;
+    } = &mut scratch;
 
     x.resize(s, d);
     x.as_mut_slice().copy_from_slice(tokens.as_slice());
@@ -280,13 +197,14 @@ pub(crate) fn decode_rows(
     // order is deterministic, and nothing allocates on the warm path.
     group_order.clear();
     group_order.extend(0..s);
-    group_order.sort_unstable_by_key(|&sq| (kv.len(sq), sq));
+    let len_of = |sq: usize| cache.seq_len(slots[sq]);
+    group_order.sort_unstable_by_key(|&sq| (len_of(sq), sq));
     group_bounds.clear();
     let mut at = 0;
     while at < s {
-        let len = kv.len(group_order[at]);
+        let len = len_of(group_order[at]);
         let mut end = at + 1;
-        while end < s && kv.len(group_order[end]) == len {
+        while end < s && len_of(group_order[end]) == len {
             end += 1;
         }
         // Post-push context length: this step's K/V row is appended
@@ -309,8 +227,8 @@ pub(crate) fn decode_rows(
 
         let attn_span = pdac_telemetry::span("nn.decode.attention");
         context.resize(s, d);
-        for sq in 0..s {
-            kv.push_row(li, sq, k_new.row_slice(sq), v_new.row_slice(sq));
+        for (sq, &slot) in slots.iter().enumerate() {
+            cache.push_row(slot, li, k_new.row_slice(sq), v_new.row_slice(sq));
         }
         for &(start, g, l) in group_bounds.iter() {
             let seqs = &group_order[start..start + g];
@@ -328,9 +246,9 @@ pub(crate) fn decode_rows(
                 kgt.resize(g * dh, l);
                 let kdata = kgt.as_mut_slice();
                 for (gi, &sq) in seqs.iter().enumerate() {
-                    kv.gather_kt(
+                    cache.gather_kt(
+                        slots[sq],
                         li,
-                        sq,
                         c0,
                         dh,
                         l,
@@ -353,7 +271,8 @@ pub(crate) fn decode_rows(
                 vg.resize(g * l, dh);
                 let vdata = vg.as_mut_slice();
                 for (gi, &sq) in seqs.iter().enumerate() {
-                    kv.gather_v(li, sq, c0, dh, &mut vdata[gi * l * dh..(gi + 1) * l * dh]);
+                    let dst = &mut vdata[gi * l * dh..(gi + 1) * l * dh];
+                    cache.gather_v(slots[sq], li, c0, dh, dst);
                 }
                 backend.matmul_grouped_transient_into(scores, vg, ctx);
                 for (gi, &sq) in seqs.iter().enumerate() {
@@ -379,8 +298,11 @@ pub(crate) fn decode_rows(
 
     out.resize(s, d);
     out.as_mut_slice().copy_from_slice(x.as_slice());
+    cache.scratch = scratch;
 
-    record_step_energy(model, kv, s, d, ff);
+    // Post-push context lengths (identical across layers).
+    let sum_l: u64 = slots.iter().map(|&slot| cache.seq_len(slot) as u64).sum();
+    record_step_energy(model, sum_l, s, d, ff);
 }
 
 /// Reports the step's executed activity to the live energy meter
@@ -397,24 +319,14 @@ pub(crate) fn decode_rows(
 /// (converted once into the weight cache), so their one-time streaming
 /// is model-load cost, not serving cost. KV paging changes where the
 /// gathered rows *live* (and how many fit), not how many stream through
-/// the converters per step — so both layouts record identical activity.
-/// See DESIGN.md §13 and §15.
-fn record_step_energy(
-    model: &TransformerModel,
-    kv: &KvRows<'_, '_>,
-    s: usize,
-    d: usize,
-    ff: usize,
-) {
+/// the converters per step. See DESIGN.md §13 and §15.
+fn record_step_energy(model: &TransformerModel, sum_l: u64, s: usize, d: usize, ff: usize) {
     if !pdac_power::meter::is_active() || model.layers.is_empty() {
         return;
     }
     let config = model.config();
     let layers = model.layers.len() as u64;
     let (s, d, ff, h) = (s as u64, d as u64, ff as u64, config.heads as u64);
-    // Per-sequence context length for this step (caches were pushed
-    // above; identical across layers).
-    let sum_l: u64 = kv.total_len();
     // QKV + output projections (4·s·d²) plus per-head score/context
     // matmuls (2·d·l per sequence).
     let attn_macs = layers * (4 * s * d * d + 2 * d * sum_l);
@@ -432,221 +344,90 @@ fn record_step_energy(
     pdac_power::meter::record(OpClass::Other, 0, 0, elementwise);
 }
 
-/// Per-sequence KV caches plus the shared scratch for a fixed-capacity
-/// decode batch.
-///
-/// # Examples
-///
-/// ```
-/// use pdac_math::Mat;
-/// use pdac_nn::{BatchedKvCache, ExactGemm, TransformerConfig, TransformerModel};
-///
-/// let model = TransformerModel::random(TransformerConfig::tiny(), 4, 42);
-/// let mut batch = BatchedKvCache::new(&model, 3);
-/// let tokens = Mat::from_fn(3, model.config().hidden, |r, c| {
-///     ((r * 31 + c) as f64).sin() * 0.1
-/// });
-/// let hidden = model.decode_batch(&tokens, &mut batch, &ExactGemm);
-/// assert_eq!(hidden.shape(), (3, model.config().hidden));
-/// assert_eq!(batch.seq(0).len(), 1);
-/// ```
-#[derive(Debug)]
-pub struct BatchedKvCache {
-    caches: Vec<KvCache>,
-    scratch: DecodeScratch,
-}
-
-impl BatchedKvCache {
-    /// `batch` empty per-sequence caches for `model`.
+impl TransformerModel {
+    /// Decodes one token embedding against slot 0 of `cache` (a batch
+    /// of one), returning the token's final hidden state (1 × hidden).
+    ///
+    /// Equivalent to the corresponding row of [`Self::forward_causal`]
+    /// over the full prefix — the KV-cache identity of paper Sec. II-A1.
     ///
     /// # Panics
     ///
-    /// Panics if `batch == 0`.
-    pub fn new(model: &TransformerModel, batch: usize) -> Self {
-        assert!(batch > 0, "batch must be nonzero");
-        Self {
-            caches: (0..batch).map(|_| model.new_cache()).collect(),
-            scratch: DecodeScratch::new(),
-        }
+    /// Panics if `token.len() != hidden` or the cache has a different
+    /// layer count.
+    pub fn decode_step(
+        &self,
+        token: &[f64],
+        cache: &mut PagedKvCache,
+        backend: &dyn GemmBackend,
+    ) -> Vec<f64> {
+        assert_eq!(token.len(), self.config().hidden, "hidden dim mismatch");
+        let tokens = Mat::from_rows(1, token.len(), token.to_vec()).expect("row vector");
+        let mut out = Mat::zeros(1, 1);
+        decode_rows(self, &tokens, cache, &[0], backend, &mut out);
+        out.row(0)
     }
 
-    /// Number of sequence slots.
-    pub fn batch(&self) -> usize {
-        self.caches.len()
-    }
-
-    /// Sequence `i`'s cache.
-    pub fn seq(&self, i: usize) -> &KvCache {
-        &self.caches[i]
-    }
-
-    /// Sequence `i`'s cache, mutably (e.g. to reset a retired slot).
-    ///
-    /// Mutating a cache between steps is safe with respect to the
-    /// shared [`DecodeScratch`]: the scratch holds no per-sequence
-    /// state — slot grouping is recomputed from the cache lengths at
-    /// the start of every step — so replacing the cache with a fresh
-    /// one ([`Self::reset_seq`] does exactly this) or swapping two
-    /// slots' caches decodes correctly on the next
-    /// [`TransformerModel::decode_batch`]. Two misuses are checked
-    /// there instead of silently corrupting attention: substituting a
-    /// cache built for a different model panics ("cache layer
-    /// mismatch"), and leaving the per-layer K/V vectors at *unequal*
-    /// lengths (manual surgery on `KvCache` internals) trips a debug
-    /// assertion.
-    pub fn seq_mut(&mut self, i: usize) -> &mut KvCache {
-        &mut self.caches[i]
-    }
-
-    /// Replaces sequence `i`'s cache with a fresh empty one.
-    pub fn reset_seq(&mut self, i: usize, model: &TransformerModel) {
-        self.caches[i] = model.new_cache();
-    }
-
-    /// The shared decode scratch (for reuse diagnostics).
-    pub fn scratch(&self) -> &DecodeScratch {
-        &self.scratch
-    }
-}
-
-impl TransformerModel {
-    /// Advances `cache.batch()` sequences by one token each: row `s` of
-    /// `tokens` is the current token embedding of sequence `s`.
+    /// Advances every slot of `cache` by one token: row `s` of `tokens`
+    /// is the current token embedding of slot `s`.
     ///
     /// Returns the `S × hidden` final hidden states; row `s` is
     /// **bit-identical** to calling [`Self::decode_step`] with that row
-    /// against sequence `s`'s cache alone.
+    /// against slot `s`'s token history alone — page-table indirection
+    /// (including prefix-shared and copy-on-write pages) is pure data
+    /// movement.
     ///
     /// # Panics
     ///
     /// Panics if `tokens.cols() != hidden`, `tokens.rows()` differs
-    /// from the batch size, or any cache has the wrong layer count.
-    pub fn decode_batch(
-        &self,
-        tokens: &Mat,
-        cache: &mut BatchedKvCache,
-        backend: &dyn GemmBackend,
-    ) -> Mat {
-        let mut out = Mat::zeros(1, 1);
-        let BatchedKvCache { caches, scratch } = cache;
-        let mut refs: Vec<&mut KvCache> = caches.iter_mut().collect();
-        let _span = pdac_telemetry::span("nn.inference.decode_batch");
-        pdac_telemetry::counter_add("nn.inference.decoded_tokens", tokens.rows() as u64);
-        decode_rows(
-            self,
-            tokens,
-            &mut KvRows::Flat(&mut refs),
-            backend,
-            scratch,
-            &mut out,
-        );
-        out
-    }
-
-    /// [`Self::decode_batch`] against a [`PagedKvCache`]: row `s` of
-    /// `tokens` advances slot `s`. Row `s` of the result is
-    /// **bit-identical** to decoding that slot's token history through
-    /// [`Self::decode_step`] solo — page-table indirection (including
-    /// prefix-shared and copy-on-write pages) is pure data movement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tokens.rows()` differs from the cache's slot count,
-    /// `tokens.cols() != hidden`, or the cache's layer count differs
+    /// from the cache's slot count, or the cache's layer count differs
     /// from the model's.
-    pub fn decode_batch_paged(
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pdac_math::Mat;
+    /// use pdac_nn::{ExactGemm, PagedConfig, PagedKvCache, TransformerConfig, TransformerModel};
+    ///
+    /// let model = TransformerModel::random(TransformerConfig::tiny(), 4, 42);
+    /// let mut cache = PagedKvCache::new(&model, 3, PagedConfig::default());
+    /// let tokens = Mat::from_fn(3, model.config().hidden, |r, c| {
+    ///     ((r * 31 + c) as f64).sin() * 0.1
+    /// });
+    /// let hidden = model.decode_batch(&tokens, &mut cache, &ExactGemm);
+    /// assert_eq!(hidden.shape(), (3, model.config().hidden));
+    /// assert_eq!(cache.seq_len(0), 1);
+    /// ```
+    pub fn decode_batch(
         &self,
         tokens: &Mat,
         cache: &mut PagedKvCache,
         backend: &dyn GemmBackend,
     ) -> Mat {
-        assert_eq!(tokens.rows(), cache.slots(), "batch size mismatch");
         let slots: Vec<usize> = (0..cache.slots()).collect();
-        let mut scratch = cache.take_scratch();
         let mut out = Mat::zeros(1, 1);
-        self.decode_paged_with(tokens, cache, &slots, backend, &mut scratch, &mut out);
-        cache.put_scratch(scratch);
+        self.decode_slots(tokens, cache, &slots, backend, &mut out);
         out
     }
 
-    /// [`Self::decode_batch_paged`] over an arbitrary subset of slots
-    /// (row `i` of `tokens` advances `slots[i]`), writing into a
-    /// caller-owned output — the form the continuous-batching scheduler
-    /// uses when some slots are empty or retired.
-    pub fn decode_paged_with(
+    /// [`Self::decode_batch`] over a subset of slots (row `i` of
+    /// `tokens` advances `slots[i]`), writing into a caller-owned output
+    /// — the form the continuous-batching scheduler uses when some slots
+    /// are empty or retired.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::decode_batch`], with `slots.len()` in place of the
+    /// slot count; duplicate slots trip a debug assertion.
+    pub fn decode_slots(
         &self,
         tokens: &Mat,
         cache: &mut PagedKvCache,
         slots: &[usize],
         backend: &dyn GemmBackend,
-        scratch: &mut DecodeScratch,
         out: &mut Mat,
     ) {
-        debug_assert!(
-            slots
-                .iter()
-                .all(|&a| slots.iter().filter(|&&b| b == a).count() == 1),
-            "duplicate slot in paged decode batch"
-        );
-        let _span = pdac_telemetry::span("nn.inference.decode_batch");
-        pdac_telemetry::counter_add("nn.inference.decoded_tokens", tokens.rows() as u64);
-        decode_rows(
-            self,
-            tokens,
-            &mut KvRows::Paged { cache, slots },
-            backend,
-            scratch,
-            out,
-        );
-    }
-
-    /// [`Self::decode_batch`] over an arbitrary (possibly ragged)
-    /// set of per-sequence caches, writing into a caller-owned output —
-    /// the form the continuous-batching scheduler uses after retiring
-    /// sequences mid-run.
-    pub fn decode_batch_with(
-        &self,
-        tokens: &Mat,
-        caches: &mut [&mut KvCache],
-        backend: &dyn GemmBackend,
-        scratch: &mut DecodeScratch,
-        out: &mut Mat,
-    ) {
-        let _span = pdac_telemetry::span("nn.inference.decode_batch");
-        pdac_telemetry::counter_add("nn.inference.decoded_tokens", tokens.rows() as u64);
-        decode_rows(
-            self,
-            tokens,
-            &mut KvRows::Flat(caches),
-            backend,
-            scratch,
-            out,
-        );
-    }
-
-    /// [`Self::decode_step`] with a caller-owned scratch, so repeated
-    /// single-sequence decoding also runs allocation-lean.
-    pub fn decode_step_with(
-        &self,
-        token: &[f64],
-        cache: &mut KvCache,
-        backend: &dyn GemmBackend,
-        scratch: &mut DecodeScratch,
-    ) -> Vec<f64> {
-        let _span = pdac_telemetry::span("nn.inference.decode_step");
-        pdac_telemetry::counter_add("nn.inference.decoded_tokens", 1);
-        assert_eq!(token.len(), self.config().hidden, "hidden dim mismatch");
-        let tokens = Mat::from_rows(1, token.len(), token.to_vec()).expect("row vector");
-        let mut out = Mat::zeros(1, 1);
-        decode_rows(
-            self,
-            &tokens,
-            &mut KvRows::Flat(&mut [cache]),
-            backend,
-            scratch,
-            &mut out,
-        );
-        out.row(0)
+        decode_rows(self, tokens, cache, slots, backend, out);
     }
 }
 
@@ -655,6 +436,7 @@ mod tests {
     use super::*;
     use crate::config::TransformerConfig;
     use crate::gemm::{AnalogGemm, ExactGemm};
+    use crate::paged::PagedConfig;
     use pdac_core::edac::ElectricalDac;
     use pdac_core::pdac::PDac;
 
@@ -671,8 +453,8 @@ mod tests {
 
     fn assert_batch_matches_sequential(backend: &dyn GemmBackend, steps: usize, s: usize) {
         let m = tiny_model();
-        let mut batch = BatchedKvCache::new(&m, s);
-        let mut solo: Vec<KvCache> = (0..s).map(|_| m.new_cache()).collect();
+        let mut batch = PagedKvCache::new(&m, s, PagedConfig::default());
+        let mut solo: Vec<PagedKvCache> = (0..s).map(|_| m.new_cache()).collect();
         for t in 0..steps {
             let tokens = token_rows(&m, s, 40 + t as u64);
             let got = m.decode_batch(&tokens, &mut batch, backend);
@@ -714,72 +496,104 @@ mod tests {
     }
 
     #[test]
-    fn decode_step_with_reuses_scratch() {
+    fn decode_step_reuses_cache_scratch() {
         let m = tiny_model();
         let mut cache = m.new_cache();
-        let mut scratch = DecodeScratch::new();
         let input = m.random_input(6);
         for t in 0..4 {
-            let _ = m.decode_step_with(&input.row(t), &mut cache, &ExactGemm, &mut scratch);
+            let _ = m.decode_step(&input.row(t), &mut cache, &ExactGemm);
         }
         // First call primes the buffers; the other three reuse them.
-        assert_eq!(scratch.reuses(), 3);
+        assert_eq!(cache.scratch().reuses(), 3);
     }
 
     #[test]
     fn batched_cache_tracks_per_sequence_lengths() {
         let m = tiny_model();
-        let mut batch = BatchedKvCache::new(&m, 2);
+        let mut batch = PagedKvCache::new(&m, 2, PagedConfig::default());
         let tokens = token_rows(&m, 2, 9);
         let _ = m.decode_batch(&tokens, &mut batch, &ExactGemm);
         let _ = m.decode_batch(&tokens, &mut batch, &ExactGemm);
-        assert_eq!(batch.seq(0).len(), 2);
-        assert_eq!(batch.seq(1).len(), 2);
-        batch.reset_seq(1, &m);
-        assert!(batch.seq(1).is_empty());
-        assert_eq!(batch.seq(0).len(), 2);
+        assert_eq!(batch.seq_len(0), 2);
+        assert_eq!(batch.seq_len(1), 2);
+        batch.reset_slot(1);
+        assert_eq!(batch.seq_len(1), 0);
+        assert_eq!(batch.seq_len(0), 2);
         assert!(batch.scratch().reuses() >= 1);
     }
 
     #[test]
-    fn ragged_caches_decode_via_decode_batch_with() {
-        // Sequences at different positions (continuous batching after a
+    fn ragged_slots_decode_via_decode_slots() {
+        // Slots at different positions (continuous batching after a
         // retirement) still match their sequential counterparts.
         let m = tiny_model();
         let backend = ExactGemm;
-        let mut a = m.new_cache();
-        let mut b = m.new_cache();
+        let mut cache = PagedKvCache::new(&m, 3, PagedConfig::default());
         let mut a_ref = m.new_cache();
         let mut b_ref = m.new_cache();
         let warm = token_rows(&m, 1, 3);
-        // Advance `a` two tokens ahead before batching the pair.
-        let _ = m.decode_step(&warm.row(0), &mut a, &backend);
-        let _ = m.decode_step(&warm.row(0), &mut a, &backend);
-        let _ = m.decode_step(&warm.row(0), &mut a_ref, &backend);
-        let _ = m.decode_step(&warm.row(0), &mut a_ref, &backend);
-        let tokens = token_rows(&m, 2, 5);
-        let mut scratch = DecodeScratch::new();
         let mut out = Mat::zeros(1, 1);
-        m.decode_batch_with(
-            &tokens,
-            &mut [&mut a, &mut b],
-            &backend,
-            &mut scratch,
-            &mut out,
-        );
+        // Advance slot 2 two tokens ahead before batching it with slot 0.
+        for _ in 0..2 {
+            m.decode_slots(&warm, &mut cache, &[2], &backend, &mut out);
+            let _ = m.decode_step(&warm.row(0), &mut a_ref, &backend);
+        }
+        let tokens = token_rows(&m, 2, 5);
+        m.decode_slots(&tokens, &mut cache, &[2, 0], &backend, &mut out);
         let wa = m.decode_step(&tokens.row(0), &mut a_ref, &backend);
         let wb = m.decode_step(&tokens.row(1), &mut b_ref, &backend);
         assert_eq!(out.row(0), wa);
         assert_eq!(out.row(1), wb);
-        assert_eq!(a.len(), 3);
-        assert_eq!(b.len(), 1);
+        assert_eq!(cache.seq_len(2), 3);
+        assert_eq!(cache.seq_len(0), 1);
+        assert_eq!(cache.seq_len(1), 0, "slots outside the subset untouched");
+    }
+
+    #[test]
+    fn rows_independent_of_block_size() {
+        // The same ragged token streams (slots pre-warmed to depths
+        // 2/0/1, then decoded together) through caches of block 1, 2, 3
+        // and 64: page boundaries fall in different places — or nowhere —
+        // yet every row must carry the same bits, on exact and P-DAC.
+        let m = tiny_model();
+        let hidden = m.config().hidden;
+        let warm = [2usize, 0, 1];
+        let pdac = AnalogGemm::new(PDac::with_optimal_approx(8).unwrap(), "pdac");
+        let backends: [(&str, &dyn GemmBackend); 2] = [("exact", &ExactGemm), ("pdac", &pdac)];
+        for (label, backend) in backends {
+            let run = |block: usize| -> Vec<Vec<u64>> {
+                let mut cache = PagedKvCache::new(&m, warm.len(), PagedConfig::new(block));
+                let mut out = Mat::zeros(1, 1);
+                let mut rows = Vec::new();
+                for (slot, &depth) in warm.iter().enumerate() {
+                    for t in 0..depth {
+                        let tok = token_rows(&m, 1, 60 + (slot * 7 + t) as u64);
+                        m.decode_slots(&tok, &mut cache, &[slot], backend, &mut out);
+                        rows.push(out.as_slice().iter().map(|v| v.to_bits()).collect());
+                    }
+                }
+                for step in 0..3 {
+                    let fresh: Vec<Mat> = (0..warm.len())
+                        .map(|r| token_rows(&m, 1, 80 + (step * 3 + r) as u64))
+                        .collect();
+                    let tokens = Mat::from_fn(warm.len(), hidden, |r, c| fresh[r][(0, c)]);
+                    let got = m.decode_batch(&tokens, &mut cache, backend);
+                    rows.push(got.as_slice().iter().map(|v| v.to_bits()).collect());
+                }
+                rows
+            };
+            let want = run(64);
+            for block in [1usize, 2, 3] {
+                assert_eq!(run(block), want, "{label}: block {block} vs block 64");
+            }
+        }
     }
 
     #[test]
     #[should_panic(expected = "batch size mismatch")]
     fn wrong_batch_size_rejected() {
         let m = tiny_model();
-        let mut batch = BatchedKvCache::new(&m, 2);
+        let mut batch = PagedKvCache::new(&m, 2, PagedConfig::default());
         let tokens = token_rows(&m, 3, 1);
         m.decode_batch(&tokens, &mut batch, &ExactGemm);
     }
@@ -788,7 +602,7 @@ mod tests {
     #[should_panic(expected = "hidden dim mismatch")]
     fn wrong_hidden_dim_rejected() {
         let m = tiny_model();
-        let mut batch = BatchedKvCache::new(&m, 2);
+        let mut batch = PagedKvCache::new(&m, 2, PagedConfig::default());
         let tokens = Mat::zeros(2, 7);
         m.decode_batch(&tokens, &mut batch, &ExactGemm);
     }

@@ -16,6 +16,7 @@
 use crate::config::TransformerConfig;
 use crate::gemm::GemmBackend;
 use crate::ops::{gelu_mat, layer_norm_rows, mean_pool_rows, residual, softmax_rows};
+use crate::paged::{PagedConfig, PagedKvCache};
 use pdac_math::gemm::PackedB;
 use pdac_math::rng::SplitMix64;
 use pdac_math::stats::{cosine_similarity, sqnr_db};
@@ -181,47 +182,6 @@ impl EncoderLayer {
     }
 }
 
-/// The cached K/V rows of one layer during auto-regressive decoding
-/// ("the KV cache stores precomputed K and V vectors, allowing the model
-/// to reuse them for subsequent tokens" — paper Sec. II-A1).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct LayerCache {
-    pub(crate) k: Vec<Vec<f64>>,
-    pub(crate) v: Vec<Vec<f64>>,
-}
-
-impl LayerCache {
-    pub(crate) fn push_row(&mut self, k_new: &[f64], v_new: &[f64]) {
-        self.k.push(k_new.to_vec());
-        self.v.push(v_new.to_vec());
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.k.len()
-    }
-}
-
-/// A whole-model KV cache for incremental decoding.
-///
-/// Create with [`TransformerModel::new_cache`], feed tokens through
-/// [`TransformerModel::decode_step`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct KvCache {
-    pub(crate) layers: Vec<LayerCache>,
-}
-
-impl KvCache {
-    /// Number of tokens currently cached.
-    pub fn len(&self) -> usize {
-        self.layers.first().map_or(0, LayerCache::len)
-    }
-
-    /// Whether no tokens have been decoded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// A randomly-initialized transformer encoder with a classification head.
 ///
 /// # Examples
@@ -308,31 +268,12 @@ impl TransformerModel {
         x
     }
 
-    /// Creates an empty KV cache for [`Self::decode_step`].
-    pub fn new_cache(&self) -> KvCache {
-        KvCache {
-            layers: vec![LayerCache::default(); self.layers.len()],
-        }
-    }
-
-    /// Decodes one token embedding incrementally against the cache,
-    /// returning the token's final hidden state (1 × hidden).
-    ///
-    /// Equivalent to the corresponding row of [`Self::forward_causal`]
-    /// over the full prefix — the KV-cache identity of paper Sec. II-A1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `token.len() != hidden` or the cache has a different
-    /// layer count.
-    pub fn decode_step(
-        &self,
-        token: &[f64],
-        cache: &mut KvCache,
-        backend: &dyn GemmBackend,
-    ) -> Vec<f64> {
-        let mut scratch = crate::batch::DecodeScratch::new();
-        self.decode_step_with(token, cache, backend, &mut scratch)
+    /// An empty one-slot KV cache for [`Self::decode_step`]
+    /// ([`PagedConfig::default`]: 16-token pages, no budget). The KV
+    /// cache "stores precomputed K and V vectors, allowing the model to
+    /// reuse them for subsequent tokens" (paper Sec. II-A1).
+    pub fn new_cache(&self) -> PagedKvCache {
+        PagedKvCache::new(self, 1, PagedConfig::default())
     }
 
     /// Mean-pooled classification logits.
@@ -498,7 +439,8 @@ mod tests {
     #[test]
     fn decode_steps_match_causal_forward() {
         // The KV-cache identity: decoding token-by-token reproduces the
-        // rows of the full causal forward pass exactly.
+        // rows of the full causal forward pass bit for bit (masked
+        // scores contribute exact zeros to each ascending-k reduction).
         let m = tiny_model();
         let input = m.random_input(21);
         let full = m.forward_causal(&input, &ExactGemm);
@@ -506,14 +448,15 @@ mod tests {
         for t in 0..input.rows() {
             let hidden = m.decode_step(&input.row(t), &mut cache, &ExactGemm);
             for (c, h) in hidden.iter().enumerate() {
-                assert!(
-                    (h - full[(t, c)]).abs() < 1e-9,
+                assert_eq!(
+                    h.to_bits(),
+                    full[(t, c)].to_bits(),
                     "token {t} dim {c}: {h} vs {}",
                     full[(t, c)]
                 );
             }
         }
-        assert_eq!(cache.len(), input.rows());
+        assert_eq!(cache.seq_len(0), input.rows());
     }
 
     #[test]
@@ -534,11 +477,11 @@ mod tests {
     fn cache_starts_empty_and_grows() {
         let m = tiny_model();
         let mut cache = m.new_cache();
-        assert!(cache.is_empty());
+        assert_eq!(cache.seq_len(0), 0);
         let token = vec![0.1; 32];
         let _ = m.decode_step(&token, &mut cache, &ExactGemm);
         let _ = m.decode_step(&token, &mut cache, &ExactGemm);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.seq_len(0), 2);
     }
 
     #[test]

@@ -26,17 +26,17 @@
 //! * [`inference`] — a functional encoder forward pass with seeded random
 //!   weights, used to validate the paper's claim that LLM inference
 //!   tolerates the P-DAC's bounded analog error;
-//! * [`batch`] — the batched decode engine: [`batch::BatchedKvCache`] +
-//!   [`TransformerModel::decode_batch`] advance S sequences per step
+//! * [`batch`] — the decode engine: one core behind
+//!   [`TransformerModel::decode_step`] (a batch of one),
+//!   [`TransformerModel::decode_batch`] and
+//!   [`TransformerModel::decode_slots`] advances S sequences per step
 //!   through one stacked activation matrix (weights stream through the
 //!   converters once per step, attention stays per-sequence), row-for-row
 //!   bit-identical to S independent `decode_step` calls;
-//! * [`paged`] — the paged KV cache: fixed-size token blocks behind
+//! * [`paged`] — the one KV store: fixed-size token blocks behind
 //!   per-slot page tables with refcounts + copy-on-write, hash-consed
 //!   prefix sharing, and an LRU-evicting byte budget
-//!   (`PDAC_KV_BUDGET_BYTES`) — a drop-in for [`batch::BatchedKvCache`]
-//!   via [`TransformerModel::decode_batch_paged`], preserving the same
-//!   bit-identity contract.
+//!   (`PDAC_KV_BUDGET_BYTES`).
 //!
 //! # Examples
 //!
@@ -61,9 +61,9 @@ pub mod quant;
 pub mod tap;
 pub mod workload;
 
-pub use batch::{BatchedKvCache, DecodeScratch};
+pub use batch::DecodeScratch;
 pub use config::TransformerConfig;
 pub use gemm::{AnalogGemm, ExactGemm, GemmBackend};
-pub use inference::{KvCache, TransformerModel};
+pub use inference::TransformerModel;
 pub use paged::{prefix_block_hashes, KvStats, PageAllocator, PageId, PagedConfig, PagedKvCache};
 pub use prepared::{PreparedOperand, WeightCache};

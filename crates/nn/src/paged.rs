@@ -1,11 +1,11 @@
 //! Paged KV cache: block allocation, prefix sharing and a byte budget.
 //!
-//! [`crate::batch::BatchedKvCache`] stores each sequence's K/V rows in
-//! disjoint, unbounded `Vec`s, so serving capacity is capped by the
-//! *sum of worst-case* context lengths — memory, not compute, limits
-//! concurrency ("Scaling Up Silicon Photonic-based Accelerators"
-//! identifies memory movement as the dominant non-photonic cost). This
-//! module manages the KV working set like an OS manages RAM:
+//! [`PagedKvCache`] is the one K/V store of the decode engine. Storing
+//! each sequence's rows in disjoint, unbounded buffers would cap serving
+//! capacity by the *sum of worst-case* context lengths — memory, not
+//! compute, would limit concurrency ("Scaling Up Silicon Photonic-based
+//! Accelerators" identifies memory movement as the dominant non-photonic
+//! cost). This module manages the KV working set like an OS manages RAM:
 //!
 //! * [`PageAllocator`] — a slab of fixed-size **pages** (each holding
 //!   `block_tokens` K rows + V rows for one layer), recycled through a
@@ -25,12 +25,13 @@
 //!   least-recently-used when an allocation would exceed the budget;
 //!   an evicted prefix is simply recomputed on its next use.
 //!
-//! The decode engine reads K/V through the page-table indirection
-//! (`gather_kt` / `gather_v` mirror the flat gathers element for
-//! element), so the row-r ≡ solo-`decode_step` **bit-identity
-//! invariant** of [`crate::batch`] holds unchanged — the `pdac-verify`
-//! rows `decode.kv.paged_vs_flat.*` and
-//! `decode.kv.shared_prefix_vs_unshared` pin it.
+//! The decode engine reads K/V only through the page-table gathers
+//! (`gather_kt` / `gather_v`, pure data movement), so the row-r ≡
+//! solo-`decode_step` **bit-identity invariant** of [`crate::batch`]
+//! holds for every block size and sharing pattern. The `pdac-verify`
+//! rows `decode.kv.paged_vs_oracle.*`,
+//! `decode.kv.shared_prefix_vs_unshared` and `decode.kv.fork_cow_isolated`
+//! pin it.
 //!
 //! Telemetry: gauges `serve.kv.pages` / `serve.kv.bytes` (live mapped
 //! pages and bytes), counters `serve.kv.shared` (tokens mapped from the
@@ -99,19 +100,32 @@ impl PagedConfig {
 
     /// Reads `PDAC_KV_BLOCK_TOKENS` (default 16) and
     /// `PDAC_KV_BUDGET_BYTES` (default unbounded) from the environment.
-    pub fn from_env() -> Self {
-        let block_tokens = std::env::var("PDAC_KV_BLOCK_TOKENS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&b: &usize| b > 0)
-            .unwrap_or(16);
-        let budget_bytes = std::env::var("PDAC_KV_BUDGET_BYTES")
-            .ok()
-            .and_then(|v| v.parse().ok());
-        Self {
-            block_tokens,
-            budget_bytes,
-        }
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the variable and its value when a set
+    /// variable is not a positive integer — never the silent default.
+    pub fn from_env() -> Result<Self, String> {
+        Self::from_lookup(|name| std::env::var(name).ok())
+    }
+
+    /// [`Self::from_env`] over an arbitrary variable lookup (`None` =
+    /// unset), so the parsing is testable without touching the process
+    /// environment.
+    fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        let positive = |name: &str| -> Result<Option<usize>, String> {
+            let Some(raw) = lookup(name) else {
+                return Ok(None);
+            };
+            match raw.parse::<usize>() {
+                Ok(v) if v > 0 => Ok(Some(v)),
+                _ => Err(format!("{name}={raw:?} is not a positive integer")),
+            }
+        };
+        Ok(Self {
+            block_tokens: positive("PDAC_KV_BLOCK_TOKENS")?.unwrap_or(16),
+            budget_bytes: positive("PDAC_KV_BUDGET_BYTES")?,
+        })
     }
 }
 
@@ -357,11 +371,10 @@ pub struct KvStats {
 }
 
 /// A paged, prefix-shared, budget-capped KV cache for a fixed number of
-/// sequence slots — the drop-in alternative to
-/// [`crate::batch::BatchedKvCache`] for
-/// [`TransformerModel::decode_batch_paged`] /
-/// [`TransformerModel::decode_paged_with`] and the paged
-/// `pdac-serve::TokenServer` mode.
+/// sequence slots — the one K/V store behind
+/// [`TransformerModel::decode_step`], [`TransformerModel::decode_batch`],
+/// [`TransformerModel::decode_slots`] and `pdac-serve::TokenServer`.
+/// It also owns the decode engine's [`DecodeScratch`].
 ///
 /// # Examples
 ///
@@ -374,7 +387,7 @@ pub struct KvStats {
 /// let tokens = Mat::from_fn(2, model.config().hidden, |r, c| {
 ///     ((r * 31 + c) as f64).sin() * 0.1
 /// });
-/// let hidden = model.decode_batch_paged(&tokens, &mut cache, &ExactGemm);
+/// let hidden = model.decode_batch(&tokens, &mut cache, &ExactGemm);
 /// assert_eq!(hidden.shape(), (2, model.config().hidden));
 /// assert_eq!(cache.seq_len(0), 1);
 /// assert_eq!(cache.stats().live_pages, 2 * model.config().layers);
@@ -388,7 +401,8 @@ pub struct PagedKvCache {
     /// `slots[slot][layer]` page tables.
     slots: Vec<Vec<LayerPages>>,
     prefix: HashMap<u64, PrefixEntry>,
-    scratch: DecodeScratch,
+    /// The decode core's buffers (swapped out for the length of a step).
+    pub(crate) scratch: DecodeScratch,
     clock: u64,
     shared_tokens: u64,
     shared_hits: u64,
@@ -424,7 +438,7 @@ impl PagedKvCache {
             block_tokens: config.block_tokens,
             slots: vec![vec![LayerPages::default(); layers]; slots],
             prefix: HashMap::new(),
-            scratch: DecodeScratch::new(),
+            scratch: DecodeScratch::default(),
             clock: 0,
             shared_tokens: 0,
             shared_hits: 0,
@@ -462,14 +476,6 @@ impl PagedKvCache {
     /// The shared decode scratch (for reuse diagnostics).
     pub fn scratch(&self) -> &DecodeScratch {
         &self.scratch
-    }
-
-    pub(crate) fn take_scratch(&mut self) -> DecodeScratch {
-        std::mem::take(&mut self.scratch)
-    }
-
-    pub(crate) fn put_scratch(&mut self, scratch: DecodeScratch) {
-        self.scratch = scratch;
     }
 
     /// Aggregate paging statistics.
@@ -625,8 +631,7 @@ impl PagedKvCache {
 
     /// Transposed K gather for the grouped attention kernel: writes
     /// `out[r * l + t] = K[t][c0 + r]` for every cached token `t` and
-    /// head column `r < dh` — element-for-element the flat engine's
-    /// gather, just through the page table.
+    /// head column `r < dh`, walking the page table.
     pub(crate) fn gather_kt(
         &self,
         slot: usize,
@@ -875,6 +880,34 @@ mod tests {
     fn row(width: usize, seed: u64) -> Vec<f64> {
         let mut rng = pdac_math::rng::SplitMix64::seed_from_u64(seed);
         (0..width).map(|_| rng.gen_range_f64(-1.0, 1.0)).collect()
+    }
+
+    #[test]
+    fn env_knobs_reject_malformed_values() {
+        let parse = |block: Option<&str>, budget: Option<&str>| {
+            PagedConfig::from_lookup(|name| match name {
+                "PDAC_KV_BLOCK_TOKENS" => block.map(str::to_string),
+                "PDAC_KV_BUDGET_BYTES" => budget.map(str::to_string),
+                _ => None,
+            })
+        };
+        assert_eq!(parse(None, None), Ok(PagedConfig::default()));
+        assert_eq!(
+            parse(Some("4"), Some("4096")),
+            Ok(PagedConfig::new(4).with_budget_bytes(4096))
+        );
+        for bad in ["abc", "0", "-5"] {
+            let err = parse(Some(bad), None).expect_err(bad);
+            assert!(
+                err.contains("PDAC_KV_BLOCK_TOKENS") && err.contains(bad),
+                "{err}"
+            );
+            let err = parse(None, Some(bad)).expect_err(bad);
+            assert!(
+                err.contains("PDAC_KV_BUDGET_BYTES") && err.contains(bad),
+                "{err}"
+            );
+        }
     }
 
     #[test]

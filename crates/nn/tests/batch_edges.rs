@@ -1,7 +1,9 @@
-//! Edge-case coverage for the KV caches and the batched decode engine.
+//! Edge-case coverage for the KV cache and the batched decode engine.
 
 use pdac_math::Mat;
-use pdac_nn::{BatchedKvCache, DecodeScratch, ExactGemm, TransformerConfig, TransformerModel};
+use pdac_nn::{
+    prefix_block_hashes, ExactGemm, PagedConfig, PagedKvCache, TransformerConfig, TransformerModel,
+};
 
 fn tiny() -> TransformerModel {
     TransformerModel::random(TransformerConfig::tiny(), 4, 11)
@@ -14,6 +16,11 @@ fn tokens_for(model: &TransformerModel, rows: usize, seed: u64) -> Mat {
     })
 }
 
+/// A multi-slot cache with the default page layout.
+fn slots_cache(model: &TransformerModel, slots: usize) -> PagedKvCache {
+    PagedKvCache::new(model, slots, PagedConfig::default())
+}
+
 #[test]
 fn decode_runs_past_configured_seq_len() {
     // The KV cache is unbounded: decoding beyond `config.seq_len` keeps
@@ -22,13 +29,12 @@ fn decode_runs_past_configured_seq_len() {
     let m = tiny();
     let seq_len = m.config().seq_len;
     let mut cache = m.new_cache();
-    let mut scratch = DecodeScratch::new();
     for t in 0..seq_len + 3 {
         let tok = tokens_for(&m, 1, 100 + t as u64);
-        let h = m.decode_step_with(&tok.row(0), &mut cache, &ExactGemm, &mut scratch);
+        let h = m.decode_step(&tok.row(0), &mut cache, &ExactGemm);
         assert!(h.iter().all(|v| v.is_finite()), "step {t} non-finite");
     }
-    assert_eq!(cache.len(), seq_len + 3);
+    assert_eq!(cache.seq_len(0), seq_len + 3);
 }
 
 #[test]
@@ -38,19 +44,19 @@ fn empty_prompt_first_token_attends_to_itself() {
     let m = tiny();
     let tok = tokens_for(&m, 1, 5);
     let mut cache = m.new_cache();
-    assert!(cache.is_empty());
+    assert_eq!(cache.seq_len(0), 0);
     let h = m.decode_step(&tok.row(0), &mut cache, &ExactGemm);
     let full = m.forward_causal(&tok, &ExactGemm);
     for (c, v) in h.iter().enumerate() {
         assert!((v - full[(0, c)]).abs() < 1e-9, "dim {c}");
     }
-    assert_eq!(cache.len(), 1);
+    assert_eq!(cache.seq_len(0), 1);
 }
 
 #[test]
 fn batched_empty_start_matches_sequential() {
     let m = tiny();
-    let mut batch = BatchedKvCache::new(&m, 4);
+    let mut batch = slots_cache(&m, 4);
     let toks = tokens_for(&m, 4, 9);
     let got = m.decode_batch(&toks, &mut batch, &ExactGemm);
     for s in 0..4 {
@@ -64,30 +70,26 @@ fn batched_empty_start_matches_sequential() {
 fn ragged_batch_positions_stay_independent() {
     // Three sequences at positions 0, 2 and 5 advanced together match
     // their isolated counterparts bit-for-bit, and only their own
-    // caches grow.
+    // slots grow.
     let m = tiny();
     let backend = ExactGemm;
     let depths = [0usize, 2, 5];
-    let mut caches: Vec<_> = depths.iter().map(|_| m.new_cache()).collect();
+    let mut cache = slots_cache(&m, depths.len());
     let mut refs_caches: Vec<_> = depths.iter().map(|_| m.new_cache()).collect();
+    let mut out = Mat::zeros(1, 1);
     for (i, &depth) in depths.iter().enumerate() {
         for t in 0..depth {
             let tok = tokens_for(&m, 1, (i * 37 + t) as u64);
-            let _ = m.decode_step(&tok.row(0), &mut caches[i], &backend);
+            m.decode_slots(&tok, &mut cache, &[i], &backend, &mut out);
             let _ = m.decode_step(&tok.row(0), &mut refs_caches[i], &backend);
         }
     }
     let toks = tokens_for(&m, 3, 77);
-    let mut scratch = DecodeScratch::new();
-    let mut out = Mat::zeros(1, 1);
-    {
-        let mut refs: Vec<&mut _> = caches.iter_mut().collect();
-        m.decode_batch_with(&toks, &mut refs, &backend, &mut scratch, &mut out);
-    }
+    let out = m.decode_batch(&toks, &mut cache, &backend);
     for (i, &depth) in depths.iter().enumerate() {
         let want = m.decode_step(&toks.row(i), &mut refs_caches[i], &backend);
         assert_eq!(out.row(i), want, "seq {i}");
-        assert_eq!(caches[i].len(), depth + 1);
+        assert_eq!(cache.seq_len(i), depth + 1);
     }
 }
 
@@ -97,65 +99,55 @@ fn scratch_survives_batch_size_changes() {
     // admission/retirement) keeps results correct with one scratch.
     let m = tiny();
     let backend = ExactGemm;
-    let mut scratch = DecodeScratch::new();
+    let mut cache = slots_cache(&m, 3);
     let mut out = Mat::zeros(1, 1);
-    let mut a = m.new_cache();
-    let mut b = m.new_cache();
-    let mut c = m.new_cache();
     let t3 = tokens_for(&m, 3, 1);
-    m.decode_batch_with(
-        &t3,
-        &mut [&mut a, &mut b, &mut c],
-        &backend,
-        &mut scratch,
-        &mut out,
-    );
+    m.decode_slots(&t3, &mut cache, &[0, 1, 2], &backend, &mut out);
     let t1 = tokens_for(&m, 1, 2);
-    m.decode_batch_with(&t1, &mut [&mut b], &backend, &mut scratch, &mut out);
+    m.decode_slots(&t1, &mut cache, &[1], &backend, &mut out);
     let t2 = tokens_for(&m, 2, 3);
-    m.decode_batch_with(&t2, &mut [&mut a, &mut c], &backend, &mut scratch, &mut out);
+    m.decode_slots(&t2, &mut cache, &[0, 2], &backend, &mut out);
     assert_eq!(out.shape(), (2, m.config().hidden));
-    assert_eq!((a.len(), b.len(), c.len()), (2, 2, 2));
+    let lens: Vec<usize> = (0..3).map(|i| cache.seq_len(i)).collect();
+    assert_eq!(lens, [2, 2, 2]);
     // Steps 2 and 3 fit inside step 1's buffers.
-    assert_eq!(scratch.reuses(), 2);
+    assert_eq!(cache.scratch().reuses(), 2);
 }
 
-/// Warms `caches[i]` (and a mirror in `solos[i]`) by `depths[i]` solo
-/// steps so a subsequent batch starts at exactly those cache lengths.
+/// Warms slot `i` of `cache` (and a solo mirror in `solos[i]`) by
+/// `depths[i]` steps so a subsequent batch starts at exactly those
+/// cache lengths.
 fn warm_ragged(
     m: &TransformerModel,
     depths: &[usize],
-    caches: &mut [pdac_nn::KvCache],
-    solos: &mut [pdac_nn::KvCache],
+    cache: &mut PagedKvCache,
+    solos: &mut [PagedKvCache],
 ) {
+    let mut out = Mat::zeros(1, 1);
     for (i, &depth) in depths.iter().enumerate() {
         for t in 0..depth {
             let tok = tokens_for(m, 1, (i * 53 + t) as u64);
-            let _ = m.decode_step(&tok.row(0), &mut caches[i], &ExactGemm);
+            m.decode_slots(&tok, cache, &[i], &ExactGemm, &mut out);
             let _ = m.decode_step(&tok.row(0), &mut solos[i], &ExactGemm);
         }
     }
 }
 
-/// One batched step from `depths`, asserted row-by-row against solo
-/// `decode_step`.
+/// One batched step over the live `slots`, asserted row-by-row against
+/// solo `decode_step` on the matching `solos`.
 fn step_and_compare(
     m: &TransformerModel,
-    caches: &mut [pdac_nn::KvCache],
-    solos: &mut [pdac_nn::KvCache],
-    scratch: &mut DecodeScratch,
+    cache: &mut PagedKvCache,
+    slots: &[usize],
+    solos: &mut [PagedKvCache],
     seed: u64,
 ) {
-    let s = caches.len();
-    let toks = tokens_for(m, s, seed);
+    let toks = tokens_for(m, slots.len(), seed);
     let mut out = Mat::zeros(1, 1);
-    {
-        let mut refs: Vec<&mut _> = caches.iter_mut().collect();
-        m.decode_batch_with(&toks, &mut refs, &ExactGemm, scratch, &mut out);
-    }
-    for (i, solo) in solos.iter_mut().enumerate() {
-        let want = m.decode_step(&toks.row(i), solo, &ExactGemm);
-        assert_eq!(out.row(i), want, "seq {i}");
+    m.decode_slots(&toks, cache, slots, &ExactGemm, &mut out);
+    for (i, &slot) in slots.iter().enumerate() {
+        let want = m.decode_step(&toks.row(i), &mut solos[slot], &ExactGemm);
+        assert_eq!(out.row(i), want, "slot {slot}");
     }
 }
 
@@ -165,12 +157,11 @@ fn all_equal_lengths_decode_as_one_slot_group() {
     // single slot-group spanning the whole batch.
     let m = tiny();
     let depths = [3usize; 4];
-    let mut caches: Vec<_> = depths.iter().map(|_| m.new_cache()).collect();
+    let mut cache = slots_cache(&m, depths.len());
     let mut solos: Vec<_> = depths.iter().map(|_| m.new_cache()).collect();
-    warm_ragged(&m, &depths, &mut caches, &mut solos);
-    let mut scratch = DecodeScratch::new();
-    step_and_compare(&m, &mut caches, &mut solos, &mut scratch, 21);
-    assert!(caches.iter().all(|c| c.len() == 4));
+    warm_ragged(&m, &depths, &mut cache, &mut solos);
+    step_and_compare(&m, &mut cache, &[0, 1, 2, 3], &mut solos, 21);
+    assert!((0..4).all(|i| cache.seq_len(i) == 4));
 }
 
 #[test]
@@ -179,42 +170,39 @@ fn all_distinct_lengths_decode_as_s_slot_groups() {
     // one — the degenerate grouping where nothing is shared.
     let m = tiny();
     let depths = [0usize, 1, 2, 3];
-    let mut caches: Vec<_> = depths.iter().map(|_| m.new_cache()).collect();
+    let mut cache = slots_cache(&m, depths.len());
     let mut solos: Vec<_> = depths.iter().map(|_| m.new_cache()).collect();
-    warm_ragged(&m, &depths, &mut caches, &mut solos);
-    let mut scratch = DecodeScratch::new();
+    warm_ragged(&m, &depths, &mut cache, &mut solos);
     // Two steps: depths stay pairwise distinct, so the grouping stays
     // fully fragmented both times.
-    step_and_compare(&m, &mut caches, &mut solos, &mut scratch, 22);
-    step_and_compare(&m, &mut caches, &mut solos, &mut scratch, 23);
+    step_and_compare(&m, &mut cache, &[0, 1, 2, 3], &mut solos, 22);
+    step_and_compare(&m, &mut cache, &[0, 1, 2, 3], &mut solos, 23);
     for (i, &depth) in depths.iter().enumerate() {
-        assert_eq!(caches[i].len(), depth + 2);
+        assert_eq!(cache.seq_len(i), depth + 2);
     }
 }
 
 #[test]
 fn group_membership_tracks_retiring_sequences() {
     // Continuous batching: sequences leave the batch mid-run, so the
-    // same cache lands in differently shaped slot-groups step to step.
+    // same slot lands in differently shaped slot-groups step to step.
     let m = tiny();
     let depths = [2usize, 2, 1, 2];
-    let mut caches: Vec<_> = depths.iter().map(|_| m.new_cache()).collect();
+    let mut cache = slots_cache(&m, depths.len());
     let mut solos: Vec<_> = depths.iter().map(|_| m.new_cache()).collect();
-    warm_ragged(&m, &depths, &mut caches, &mut solos);
-    let mut scratch = DecodeScratch::new();
+    warm_ragged(&m, &depths, &mut cache, &mut solos);
     // Step 1, full batch: groups {2} and {0, 1, 3}.
-    step_and_compare(&m, &mut caches, &mut solos, &mut scratch, 31);
+    step_and_compare(&m, &mut cache, &[0, 1, 2, 3], &mut solos, 31);
     // Sequences 1 and 3 retire. Step 2: groups {2} and {0} — the
     // survivor of the big group now shares with nobody.
-    let mut live_caches: Vec<_> = vec![caches.remove(2), caches.remove(0)];
-    let mut live_solos: Vec<_> = vec![solos.remove(2), solos.remove(0)];
-    step_and_compare(&m, &mut live_caches, &mut live_solos, &mut scratch, 32);
+    step_and_compare(&m, &mut cache, &[2, 0], &mut solos, 32);
     // Sequence 2 catches up to sequence 0's depth. Step 3: one group.
     let tok = tokens_for(&m, 1, 33);
-    let _ = m.decode_step(&tok.row(0), &mut live_caches[0], &ExactGemm);
-    let _ = m.decode_step(&tok.row(0), &mut live_solos[0], &ExactGemm);
-    assert_eq!(live_caches[0].len(), live_caches[1].len());
-    step_and_compare(&m, &mut live_caches, &mut live_solos, &mut scratch, 34);
+    let mut out = Mat::zeros(1, 1);
+    m.decode_slots(&tok, &mut cache, &[2], &ExactGemm, &mut out);
+    let _ = m.decode_step(&tok.row(0), &mut solos[2], &ExactGemm);
+    assert_eq!(cache.seq_len(2), cache.seq_len(0));
+    step_and_compare(&m, &mut cache, &[2, 0], &mut solos, 34);
 }
 
 #[test]
@@ -235,12 +223,11 @@ fn prime_head_dim_grouped_attention_matches_sequential() {
         19,
     );
     let depths = [0usize, 2, 2, 5];
-    let mut caches: Vec<_> = depths.iter().map(|_| m.new_cache()).collect();
+    let mut cache = slots_cache(&m, depths.len());
     let mut solos: Vec<_> = depths.iter().map(|_| m.new_cache()).collect();
-    warm_ragged(&m, &depths, &mut caches, &mut solos);
-    let mut scratch = DecodeScratch::new();
-    step_and_compare(&m, &mut caches, &mut solos, &mut scratch, 41);
-    step_and_compare(&m, &mut caches, &mut solos, &mut scratch, 42);
+    warm_ragged(&m, &depths, &mut cache, &mut solos);
+    step_and_compare(&m, &mut cache, &[0, 1, 2, 3], &mut solos, 41);
+    step_and_compare(&m, &mut cache, &[0, 1, 2, 3], &mut solos, 42);
 }
 
 #[test]
@@ -264,7 +251,7 @@ fn mismatched_cache_layer_count_rejected() {
 #[should_panic(expected = "batch size mismatch")]
 fn batch_width_mismatch_rejected() {
     let m = tiny();
-    let mut batch = BatchedKvCache::new(&m, 3);
+    let mut batch = slots_cache(&m, 3);
     let toks = tokens_for(&m, 2, 4);
     m.decode_batch(&toks, &mut batch, &ExactGemm);
 }
@@ -273,12 +260,10 @@ fn batch_width_mismatch_rejected() {
 #[should_panic(expected = "batch must be nonzero")]
 fn zero_batch_rejected() {
     let m = tiny();
-    let _ = BatchedKvCache::new(&m, 0);
+    let _ = slots_cache(&m, 0);
 }
 
 // ---- paged KV cache edges ------------------------------------------------
-
-use pdac_nn::{prefix_block_hashes, KvCache, PagedConfig, PagedKvCache};
 
 fn prompt_list(model: &TransformerModel, len: usize, seed: u64) -> Vec<Vec<f64>> {
     let mut rng = pdac_math::rng::SplitMix64::seed_from_u64(seed);
@@ -298,24 +283,24 @@ fn decode_prompt_paged(
     cache: &mut PagedKvCache,
     slot: usize,
     prompt: &[Vec<f64>],
-    scratch: &mut DecodeScratch,
 ) -> Vec<f64> {
     let mut out = Mat::zeros(1, 1);
     for tok in &prompt[cache.seq_len(slot)..] {
         let tokens = Mat::from_rows(1, tok.len(), tok.clone()).expect("token row");
-        model.decode_paged_with(&tokens, cache, &[slot], &ExactGemm, scratch, &mut out);
+        model.decode_slots(&tokens, cache, &[slot], &ExactGemm, &mut out);
     }
     out.row(0)
 }
 
-/// The same prompt through a solo flat cache (the bit-identity oracle).
+/// The same prompt through a solo one-slot cache with the default
+/// layout and no sharing (the bit-identity oracle).
 fn decode_prompt_solo(
     model: &TransformerModel,
-    cache: &mut KvCache,
+    cache: &mut PagedKvCache,
     prompt: &[Vec<f64>],
 ) -> Vec<f64> {
     let mut last = Vec::new();
-    for tok in &prompt[cache.len()..] {
+    for tok in &prompt[cache.seq_len(0)..] {
         last = model.decode_step(tok, cache, &ExactGemm);
     }
     last
@@ -327,9 +312,8 @@ fn paged_prompt_shorter_than_one_block() {
     // publishes and nothing shares — and decode still matches solo.
     let m = tiny();
     let mut cache = PagedKvCache::new(&m, 1, PagedConfig::new(8));
-    let mut scratch = DecodeScratch::new();
     let prompt = prompt_list(&m, 3, 61);
-    let got = decode_prompt_paged(&m, &mut cache, 0, &prompt, &mut scratch);
+    let got = decode_prompt_paged(&m, &mut cache, 0, &prompt);
     let mut solo = m.new_cache();
     let want = decode_prompt_solo(&m, &mut solo, &prompt);
     assert_eq!(got, want);
@@ -347,22 +331,15 @@ fn paged_prompt_exactly_block_aligned_shares_fully() {
     // maps it and continues bit-identically to a solo decode.
     let m = tiny();
     let mut cache = PagedKvCache::new(&m, 2, PagedConfig::new(2));
-    let mut scratch = DecodeScratch::new();
     let prompt = prompt_list(&m, 4, 62);
     let hashes = prefix_block_hashes(prompt.iter().map(Vec::as_slice), 2);
-    let _ = decode_prompt_paged(&m, &mut cache, 0, &prompt, &mut scratch);
+    let _ = decode_prompt_paged(&m, &mut cache, 0, &prompt);
     cache.publish_prefix(0, &hashes);
     let shared = cache.lookup_prefix(1, &hashes);
     assert_eq!(shared, 4, "block-aligned prompt shares fully");
     // Slot 1 skips the whole prompt and decodes one fresh token.
     let next = prompt_list(&m, 1, 63);
-    let got = decode_prompt_paged(
-        &m,
-        &mut cache,
-        1,
-        &[prompt.clone(), next.clone()].concat(),
-        &mut scratch,
-    );
+    let got = decode_prompt_paged(&m, &mut cache, 1, &[prompt.clone(), next.clone()].concat());
     let mut solo = m.new_cache();
     let want = decode_prompt_solo(&m, &mut solo, &[prompt, next].concat());
     assert_eq!(got, want, "shared-prefix continuation diverged from solo");
@@ -377,11 +354,10 @@ fn paged_retirement_mid_prefix_share() {
     let m = tiny();
     let layers = m.config().layers;
     let mut cache = PagedKvCache::new(&m, 2, PagedConfig::new(2));
-    let mut scratch = DecodeScratch::new();
     // 5 tokens at block 2: boundaries at 2 and 4, partial tail page.
     let prompt = prompt_list(&m, 5, 64);
     let hashes = prefix_block_hashes(prompt.iter().map(Vec::as_slice), 2);
-    let _ = decode_prompt_paged(&m, &mut cache, 0, &prompt, &mut scratch);
+    let _ = decode_prompt_paged(&m, &mut cache, 0, &prompt);
     cache.publish_prefix(0, &hashes);
     let shared = cache.lookup_prefix(1, &hashes);
     assert_eq!(shared, 4);
@@ -393,7 +369,7 @@ fn paged_retirement_mid_prefix_share() {
     assert_eq!(cache.seq_len(1), 4);
     let tail = prompt_list(&m, 2, 65);
     let full: Vec<Vec<f64>> = prompt[..4].iter().cloned().chain(tail).collect();
-    let got = decode_prompt_paged(&m, &mut cache, 1, &full, &mut scratch);
+    let got = decode_prompt_paged(&m, &mut cache, 1, &full);
     let mut solo = m.new_cache();
     let want = decode_prompt_solo(&m, &mut solo, &full);
     assert_eq!(got, want, "sharer diverged after publisher retirement");
@@ -413,16 +389,15 @@ fn paged_eviction_under_one_block_budget() {
         1,
         PagedConfig::new(1).with_budget_bytes(layers * page_bytes),
     );
-    let mut scratch = DecodeScratch::new();
     let a = prompt_list(&m, 1, 66);
     let hashes_a = prefix_block_hashes(a.iter().map(Vec::as_slice), 1);
-    let _ = decode_prompt_paged(&m, &mut cache, 0, &a, &mut scratch);
+    let _ = decode_prompt_paged(&m, &mut cache, 0, &a);
     cache.publish_prefix(0, &hashes_a);
     cache.reset_slot(0);
     assert_eq!(cache.allocator().free_pages(), 0, "prefix pins the budget");
 
     let b = prompt_list(&m, 1, 67);
-    let got = decode_prompt_paged(&m, &mut cache, 0, &b, &mut scratch);
+    let got = decode_prompt_paged(&m, &mut cache, 0, &b);
     let mut solo = m.new_cache();
     let want = decode_prompt_solo(&m, &mut solo, &b);
     assert_eq!(got, want, "decode diverged across eviction");
@@ -437,7 +412,7 @@ fn paged_eviction_under_one_block_budget() {
     // Second token for the same slot: budget exhausted, nothing left to
     // evict → counted over-budget growth, decode still bit-identical.
     let b2: Vec<Vec<f64>> = b.iter().cloned().chain(prompt_list(&m, 1, 68)).collect();
-    let got2 = decode_prompt_paged(&m, &mut cache, 0, &b2, &mut scratch);
+    let got2 = decode_prompt_paged(&m, &mut cache, 0, &b2);
     let want2 = decode_prompt_solo(&m, &mut solo, &b2);
     assert_eq!(got2, want2, "decode diverged across over-budget growth");
     assert_eq!(cache.stats().over_budget_pages, layers as u64);
@@ -447,9 +422,8 @@ fn paged_eviction_under_one_block_budget() {
 fn paged_reset_slot_returns_pages_to_free_list() {
     let m = tiny();
     let mut cache = PagedKvCache::new(&m, 1, PagedConfig::new(2));
-    let mut scratch = DecodeScratch::new();
     let prompt = prompt_list(&m, 5, 69);
-    let _ = decode_prompt_paged(&m, &mut cache, 0, &prompt, &mut scratch);
+    let _ = decode_prompt_paged(&m, &mut cache, 0, &prompt);
     let total = cache.allocator().total_pages();
     assert!(total > 0);
     assert_eq!(cache.stats().live_pages, total);
@@ -457,20 +431,19 @@ fn paged_reset_slot_returns_pages_to_free_list() {
     assert_eq!(cache.stats().live_pages, 0);
     assert_eq!(cache.allocator().free_pages(), total, "all pages recycled");
     // The recycled pages are reused, not re-grown.
-    let _ = decode_prompt_paged(&m, &mut cache, 0, &prompt, &mut scratch);
+    let _ = decode_prompt_paged(&m, &mut cache, 0, &prompt);
     assert_eq!(cache.allocator().total_pages(), total);
 }
 
-// ---- BatchedKvCache::seq_mut contract (the documented reset path) --------
+// ---- mutating a slot between steps ---------------------------------------
 
 #[test]
 fn seq_mut_fresh_cache_reset_is_supported() {
-    // Replacing a slot's cache with a fresh one mid-run (what
-    // `reset_seq` does) keeps every row bit-identical to solo decode:
-    // the scratch holds no per-sequence state.
+    // Resetting a slot mid-run keeps every row bit-identical to solo
+    // decode: the scratch holds no per-sequence state.
     let m = tiny();
-    let mut batch = BatchedKvCache::new(&m, 2);
-    let mut solos: Vec<KvCache> = (0..2).map(|_| m.new_cache()).collect();
+    let mut batch = slots_cache(&m, 2);
+    let mut solos: Vec<PagedKvCache> = (0..2).map(|_| m.new_cache()).collect();
     for t in 0..2 {
         let toks = tokens_for(&m, 2, 80 + t);
         let got = m.decode_batch(&toks, &mut batch, &ExactGemm);
@@ -479,65 +452,66 @@ fn seq_mut_fresh_cache_reset_is_supported() {
             assert_eq!(got.row(i), want);
         }
     }
-    *batch.seq_mut(1) = m.new_cache();
+    batch.reset_slot(1);
     solos[1] = m.new_cache();
     let toks = tokens_for(&m, 2, 90);
     let got = m.decode_batch(&toks, &mut batch, &ExactGemm);
     for (i, solo) in solos.iter_mut().enumerate() {
         let want = m.decode_step(&toks.row(i), solo, &ExactGemm);
-        assert_eq!(got.row(i), want, "seq {i} after seq_mut reset");
+        assert_eq!(got.row(i), want, "seq {i} after slot reset");
     }
-    assert_eq!(batch.seq(0).len(), 3);
-    assert_eq!(batch.seq(1).len(), 1);
+    assert_eq!(batch.seq_len(0), 3);
+    assert_eq!(batch.seq_len(1), 1);
 }
 
 #[test]
 fn seq_mut_warmed_cache_swap_is_supported() {
-    // Installing an independently warmed cache (same model) into a slot
-    // is the other documented mutation: the next step regroups by the
+    // Installing an independently warmed sequence into a live slot (fork
+    // its pages in, retire the source): the next step regroups by the
     // new length and stays bit-identical.
     let m = tiny();
-    let mut batch = BatchedKvCache::new(&m, 2);
+    let mut batch = slots_cache(&m, 3);
+    let mut out = Mat::zeros(1, 1);
     let toks0 = tokens_for(&m, 2, 91);
-    let _ = m.decode_batch(&toks0, &mut batch, &ExactGemm);
-    // Warm a 3-token cache off to the side (plus its solo mirror).
-    let mut warmed = m.new_cache();
+    m.decode_slots(&toks0, &mut batch, &[0, 1], &ExactGemm, &mut out);
+    // Warm a 3-token sequence off to the side in slot 2 (plus its solo
+    // mirror).
     let mut warmed_solo = m.new_cache();
     for t in 0..3 {
         let tok = tokens_for(&m, 1, 92 + t);
-        let _ = m.decode_step(&tok.row(0), &mut warmed, &ExactGemm);
+        m.decode_slots(&tok, &mut batch, &[2], &ExactGemm, &mut out);
         let _ = m.decode_step(&tok.row(0), &mut warmed_solo, &ExactGemm);
     }
-    *batch.seq_mut(0) = warmed;
+    batch.reset_slot(0);
+    batch.fork_slot(0, 2);
+    batch.reset_slot(2);
     // Solo mirror of slot 1's original history.
     let mut solo1 = m.new_cache();
     let _ = m.decode_step(&toks0.row(1), &mut solo1, &ExactGemm);
     let toks = tokens_for(&m, 2, 95);
-    let got = m.decode_batch(&toks, &mut batch, &ExactGemm);
+    m.decode_slots(&toks, &mut batch, &[0, 1], &ExactGemm, &mut out);
     let want0 = m.decode_step(&toks.row(0), &mut warmed_solo, &ExactGemm);
     let want1 = m.decode_step(&toks.row(1), &mut solo1, &ExactGemm);
-    assert_eq!(got.row(0), want0, "swapped-in cache diverged");
-    assert_eq!(got.row(1), want1, "untouched slot diverged");
-    assert_eq!((batch.seq(0).len(), batch.seq(1).len()), (4, 2));
+    assert_eq!(out.row(0), want0, "swapped-in sequence diverged");
+    assert_eq!(out.row(1), want1, "untouched slot diverged");
+    assert_eq!((batch.seq_len(0), batch.seq_len(1)), (4, 2));
 }
 
 #[test]
-#[should_panic(expected = "cache layer mismatch")]
+#[should_panic(expected = "k row width mismatch")]
 fn seq_mut_foreign_model_cache_rejected() {
-    // The unsupported mutation: a cache built for a different model is
-    // rejected on the next decode instead of corrupting attention.
+    // A cache shaped for a model of another width (same layer count) is
+    // rejected on the first push instead of corrupting attention.
     let m = tiny();
     let other = TransformerModel::random(
         TransformerConfig {
-            layers: m.config().layers + 1,
+            hidden: m.config().hidden + m.config().heads,
             ..m.config().clone()
         },
         4,
         5,
     );
-    let mut batch = BatchedKvCache::new(&m, 2);
+    let mut batch = slots_cache(&other, 2);
     let toks = tokens_for(&m, 2, 96);
-    let _ = m.decode_batch(&toks, &mut batch, &ExactGemm);
-    *batch.seq_mut(0) = other.new_cache();
     let _ = m.decode_batch(&toks, &mut batch, &ExactGemm);
 }

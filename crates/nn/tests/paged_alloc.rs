@@ -19,8 +19,8 @@ use std::collections::HashMap;
 use pdac_math::rng::SplitMix64;
 use pdac_math::Mat;
 use pdac_nn::{
-    prefix_block_hashes, DecodeScratch, ExactGemm, PageAllocator, PageId, PagedConfig,
-    PagedKvCache, TransformerConfig, TransformerModel,
+    prefix_block_hashes, ExactGemm, PageAllocator, PageId, PagedConfig, PagedKvCache,
+    TransformerConfig, TransformerModel,
 };
 
 const ALLOC_STEPS: usize = if cfg!(feature = "slow-proptests") {
@@ -321,13 +321,12 @@ fn decode_prompt(
     cache: &mut PagedKvCache,
     slot: usize,
     prompt: &[Vec<f64>],
-    scratch: &mut DecodeScratch,
 ) {
     let mut out = Mat::zeros(1, 1);
     let start = cache.seq_len(slot);
     for tok in &prompt[start..] {
         let tokens = Mat::from_rows(1, tok.len(), tok.clone()).expect("token row");
-        model.decode_paged_with(&tokens, cache, &[slot], &ExactGemm, scratch, &mut out);
+        model.decode_slots(&tokens, cache, &[slot], &ExactGemm, &mut out);
     }
 }
 
@@ -369,11 +368,10 @@ fn evict_then_recompute_reproduces_bits() {
     // Budget: exactly the pages of one fully-cached prompt.
     let budget = layers * (prompt_len / block) * page_bytes;
     let mut cache = PagedKvCache::new(&m, 1, PagedConfig::new(block).with_budget_bytes(budget));
-    let mut scratch = DecodeScratch::new();
 
     let prompt_a = prompt_rows(&m, prompt_len, 301);
     let hashes_a = prefix_block_hashes(prompt_a.iter().map(Vec::as_slice), block);
-    decode_prompt(&m, &mut cache, 0, &prompt_a, &mut scratch);
+    decode_prompt(&m, &mut cache, 0, &prompt_a);
     let bits_a = kv_bits(&cache, 0);
     cache.publish_prefix(0, &hashes_a);
     cache.reset_slot(0);
@@ -383,7 +381,7 @@ fn evict_then_recompute_reproduces_bits() {
 
     // A different prompt needs pages → the LRU prefix must be evicted.
     let prompt_b = prompt_rows(&m, prompt_len, 302);
-    decode_prompt(&m, &mut cache, 0, &prompt_b, &mut scratch);
+    decode_prompt(&m, &mut cache, 0, &prompt_b);
     let stats = cache.stats();
     assert!(stats.evicted_pages > 0, "budget pressure did not evict");
     assert_eq!(stats.over_budget_pages, 0, "eviction should have sufficed");
@@ -394,7 +392,7 @@ fn evict_then_recompute_reproduces_bits() {
     assert_eq!(cache.probe_prefix(&hashes_a), 0, "entry survived eviction");
     let shared = cache.lookup_prefix(0, &hashes_a);
     assert_eq!(shared, 0);
-    decode_prompt(&m, &mut cache, 0, &prompt_a, &mut scratch);
+    decode_prompt(&m, &mut cache, 0, &prompt_a);
     assert_eq!(
         kv_bits(&cache, 0),
         bits_a,

@@ -14,11 +14,14 @@
 //! * `PDAC_SERVE_BACKEND` — `exact` | `pdac` | `edac` | `hybrid`
 //!   (default `pdac`; `hybrid` runs activations on the P-DAC and
 //!   weights on the e-DAC path)
-//! * `PDAC_SERVE_KV` — `flat` | `paged` (default `flat`): `paged` backs
-//!   the KV cache with the block allocator + prefix sharing, honouring
-//!   `PDAC_KV_BLOCK_TOKENS` / `PDAC_KV_BUDGET_BYTES`; the run is
-//!   re-played on a flat server afterwards and both completions must be
-//!   bit-identical (the paging CI smoke)
+//! * `PDAC_SERVE_KV` — `flat` | `paged` (default `flat`). Both serve
+//!   through the paged KV store. `flat` is `TokenServer::new`: default
+//!   block size, no prefix sharing, no budget. `paged` is
+//!   `TokenServer::new_paged`: prefix sharing, honouring
+//!   `PDAC_KV_BLOCK_TOKENS` / `PDAC_KV_BUDGET_BYTES` (a malformed value
+//!   is an error, exit code 2); the run is then replayed on a `flat`
+//!   server and both completions must be bit-identical (the paging CI
+//!   smoke)
 //! * `PDAC_SERVE_SHARED_PROMPT` — first N prompt tokens identical
 //!   across all requests (default 0), so a paged run exercises
 //!   hash-consed prefix sharing
@@ -333,10 +336,15 @@ fn main() {
         server
     });
 
-    let mut server = if paged {
-        TokenServer::new_paged(&model, batch, PagedConfig::from_env())
-    } else {
-        TokenServer::new(&model, batch)
+    let kv_config = paged.then(|| {
+        PagedConfig::from_env().unwrap_or_else(|e| {
+            eprintln!("serve: {e}");
+            std::process::exit(2);
+        })
+    });
+    let mut server = match &kv_config {
+        Some(config) => TokenServer::new_paged(&model, batch, config.clone()),
+        None => TokenServer::new(&model, batch),
     };
     // Shared prefix drawn once so every request opens with the same
     // tokens (system-prompt shape); tails stay per-request.
@@ -414,11 +422,11 @@ fn main() {
         counter("serve.admitted"),
         counter("serve.retired")
     );
-    if let Some(stats) = server.kv_stats() {
+    if let (Some(config), Some(stats)) = (&kv_config, server.kv_stats()) {
         println!(
             "serve: kv paged block={} pages={} bytes={} shared_tokens={} shared_hits={} \
              evicted={} cow={} over_budget={} deferred={}",
-            env_usize("PDAC_KV_BLOCK_TOKENS", 16),
+            config.block_tokens,
             stats.live_pages,
             stats.live_bytes,
             stats.shared_tokens,
@@ -515,8 +523,9 @@ fn main() {
     );
 
     if paged {
-        // Paging must never change results: replay the identical trace
-        // on a flat server and demand bit-identical completions.
+        // Sharing and budgets must never change results: replay the
+        // identical trace on a non-sharing `TokenServer::new` and demand
+        // bit-identical completions.
         let mut flat = TokenServer::new(&model, batch);
         for req in &trace {
             flat.admit(req.clone());

@@ -13,7 +13,7 @@
 //! [`TokenServer`] implements the scheduler: requests wait in an
 //! admission queue, free slots are filled at the start of every step,
 //! each step advances all active sequences by one token through
-//! [`TransformerModel::decode_batch_with`], and sequences retire as soon
+//! [`TransformerModel::decode_slots`], and sequences retire as soon
 //! as they reach their token budget. Because the batched engine is
 //! row-for-row **bit-identical** to sequential
 //! [`TransformerModel::decode_step`] calls, a served request produces
@@ -32,9 +32,11 @@
 //! With tracing enabled, every admitted request also produces one span
 //! tree rooted at `serve.request` (its `arg` is the request id):
 //! `serve.queue_wait` and `serve.request.generate` are recorded under it,
-//! while each scheduler step contributes an independent `serve.step` →
+//! while each scheduler step contributes an independent `serve.step`
+//! tree shared by the whole batch: one child per phase
+//! (`serve.step.{admit,assemble,decode,retire}`), with
 //! `nn.inference.decode_batch` → `nn.decode.{qkv,attention,ffn}` →
-//! `nn.gemm.*` tree shared by the whole batch. Export either view with
+//! `nn.gemm.*` under `serve.step.decode`. Export either view with
 //! [`pdac_telemetry::export`].
 //!
 //! # Energy ledger
@@ -67,18 +69,20 @@
 //!
 //! # KV paging
 //!
-//! [`TokenServer::new_paged`] serves through a [`PagedKvCache`] instead
-//! of per-request flat caches: sequences share physical K/V pages for
-//! equal prompt prefixes (each request's prompt is hashed at block
-//! boundaries on admission; a retiring-past-its-prompt request
+//! Every server keeps its sequences' K/V rows in one [`PagedKvCache`],
+//! one slot per batch position. [`TokenServer::new`] uses
+//! [`PagedConfig::default`] and never shares. [`TokenServer::new_paged`]
+//! takes a block size and byte budget, and shares physical K/V pages for
+//! equal prompt prefixes: each request's prompt is hashed at block
+//! boundaries on admission, a request whose prompt is fully cached
 //! *publishes* its full-block prefix pages, and later admissions with a
-//! matching prefix map them instead of recomputing), and total KV memory
-//! respects `PDAC_KV_BUDGET_BYTES`: admission defers a queued request —
-//! counter `serve.kv.defer` — while its worst-case page demand can't be
-//! met from free pages, budget headroom and evictable prefix entries.
-//! Decode results stay bit-identical to the flat server and to solo
-//! `decode_step` (the page table is pure indirection). Gauges
-//! `serve.kv.{pages,bytes}` and counters
+//! matching prefix map them instead of recomputing. Total KV memory
+//! respects the budget (`PDAC_KV_BUDGET_BYTES`): admission defers a
+//! queued request — counter `serve.kv.defer` — while its worst-case page
+//! demand can't be met from free pages, budget headroom and evictable
+//! prefix entries. Decode results are bit-identical across both
+//! constructors and to solo `decode_step` (the page table is pure
+//! indirection). Gauges `serve.kv.{pages,bytes}` and counters
 //! `serve.kv.{shared,evicted,cow,over_budget}` track the cache;
 //! `serve.kv.request_pages` records each retiring request's mapped page
 //! count (also on [`Completion::kv_pages`]). See DESIGN.md §15.
@@ -112,8 +116,8 @@ pub mod sentinel;
 
 use pdac_math::Mat;
 use pdac_nn::{
-    prefix_block_hashes, DecodeScratch, ExactGemm, GemmBackend, KvCache, KvStats, PagedConfig,
-    PagedKvCache, TransformerModel,
+    prefix_block_hashes, ExactGemm, GemmBackend, KvStats, PagedConfig, PagedKvCache,
+    TransformerModel,
 };
 
 /// The embedding fed back as the next input token once a sequence runs
@@ -158,10 +162,10 @@ pub struct Completion {
     /// split across the active batch in proportion to per-sequence
     /// modeled MACs. `0.0` when no meter is installed.
     pub energy_j: f64,
-    /// KV pages the request's slot mapped at retirement (paged servers
-    /// only; `0` on flat servers and zero-budget requests). Shared
-    /// prefix pages count once per mapping, so two requests sharing a
-    /// prefix each report the full page count while the cache holds one
+    /// KV pages the request's slot mapped at retirement (`0` for
+    /// zero-budget requests, which never take a slot). Shared prefix
+    /// pages count once per mapping, so two requests sharing a prefix
+    /// each report the full page count while the cache holds one
     /// physical copy.
     pub kv_pages: usize,
 }
@@ -174,22 +178,16 @@ struct Queued {
     /// The request's root span (`serve.request`), open from admission to
     /// retirement; children attach through its context.
     span: pdac_telemetry::OwnedSpan<'static>,
-    /// Block-boundary prompt hashes (paged servers only), capped so the
-    /// last prompt token is always computed — its hidden output is the
-    /// request's first generated entry.
+    /// Block-boundary prompt hashes (prefix-sharing servers only), capped
+    /// so the last prompt token is always computed — its hidden output is
+    /// the request's first generated entry.
     hashes: Vec<u64>,
-}
-
-/// Where an active sequence's K/V rows live: its own flat cache, or a
-/// slot of the server's shared [`PagedKvCache`].
-enum SeqKv {
-    Flat(KvCache),
-    Paged(usize),
 }
 
 struct Active {
     id: u64,
-    kv: SeqKv,
+    /// This sequence's slot in the server's [`PagedKvCache`].
+    slot: usize,
     prompt: Vec<Vec<f64>>,
     pos: usize,
     generated: Vec<Vec<f64>>,
@@ -202,11 +200,9 @@ struct Active {
     entered_ns: u64,
     /// Modeled joules attributed so far (see [`Completion::energy_j`]).
     energy_j: f64,
-    /// Prompt hashes carried from admission (paged servers only).
+    /// Prompt hashes carried from admission, published (then cleared)
+    /// once `pos` passes the prompt.
     hashes: Vec<u64>,
-    /// Whether this sequence's prompt prefix has been published to the
-    /// paged cache's prefix index (once, when `pos` passes the prompt).
-    published: bool,
 }
 
 impl Active {
@@ -228,7 +224,6 @@ pub struct TokenServer<'m> {
     max_batch: usize,
     queue: VecDeque<Queued>,
     active: Vec<Active>,
-    scratch: DecodeScratch,
     out: Mat,
     completions: Vec<Completion>,
     steps: u64,
@@ -237,9 +232,12 @@ pub struct TokenServer<'m> {
     occupancy_sum: u64,
     energy_j: f64,
     shed_steps: u64,
-    /// The shared paged KV cache (`None` on flat servers).
-    paged: Option<PagedKvCache>,
-    /// Idle slot indices of the paged cache.
+    /// The KV store: one slot per batch position.
+    kv: PagedKvCache,
+    /// Whether admissions hash and publish prompt prefixes
+    /// ([`Self::new_paged`] only).
+    share_prefixes: bool,
+    /// Idle slot indices of the KV store.
     free_slots: Vec<usize>,
     /// Admissions deferred for KV budget headroom (`serve.kv.defer`).
     kv_deferred: u64,
@@ -252,7 +250,10 @@ pub struct TokenServer<'m> {
 }
 
 impl<'m> TokenServer<'m> {
-    /// A server decoding at most `max_batch` sequences per step.
+    /// A server decoding at most `max_batch` sequences per step, over a
+    /// [`PagedKvCache`] with [`PagedConfig::default`] and no prefix
+    /// sharing (prompts are never hashed or published: without a budget
+    /// nothing would evict them).
     ///
     /// # Panics
     ///
@@ -264,7 +265,6 @@ impl<'m> TokenServer<'m> {
             max_batch,
             queue: VecDeque::new(),
             active: Vec::new(),
-            scratch: DecodeScratch::new(),
             out: Mat::zeros(1, 1),
             completions: Vec::new(),
             steps: 0,
@@ -273,27 +273,28 @@ impl<'m> TokenServer<'m> {
             occupancy_sum: 0,
             energy_j: 0.0,
             shed_steps: 0,
-            paged: None,
-            free_slots: Vec::new(),
+            kv: PagedKvCache::new(model, max_batch, PagedConfig::default()),
+            share_prefixes: false,
+            // Pop order is cosmetic; reversed so slot 0 is used first.
+            free_slots: (0..max_batch).rev().collect(),
             kv_deferred: 0,
             failover_armed: std::env::var("PDAC_SENTINEL_FAILOVER").is_ok_and(|v| v == "1"),
             failover_steps: 0,
         }
     }
 
-    /// A server decoding through a shared [`PagedKvCache`] (prefix
-    /// sharing + byte budget) instead of per-request flat caches.
-    /// Results are bit-identical to [`Self::new`]; only memory behavior
-    /// and the `serve.kv.*` telemetry differ.
+    /// A server whose KV store uses `config` (block size + byte budget)
+    /// and shares equal prompt prefixes across requests. Results are
+    /// bit-identical to [`Self::new`]; only memory behavior and the
+    /// `serve.kv.*` telemetry differ.
     ///
     /// # Panics
     ///
     /// Panics if `max_batch == 0` or `config.block_tokens == 0`.
     pub fn new_paged(model: &'m TransformerModel, max_batch: usize, config: PagedConfig) -> Self {
         let mut server = Self::new(model, max_batch);
-        server.paged = Some(PagedKvCache::new(model, max_batch, config));
-        // Pop order is cosmetic; reversed so slot 0 is used first.
-        server.free_slots = (0..max_batch).rev().collect();
+        server.kv = PagedKvCache::new(model, max_batch, config);
+        server.share_prefixes = true;
         server
     }
 
@@ -330,19 +331,17 @@ impl<'m> TokenServer<'m> {
             });
             return;
         }
-        // Paged servers hash the prompt at block boundaries once, at
-        // admission. Capped at `prompt_len - 1`: the last prompt token's
-        // hidden state is the request's first output, so it must be
-        // computed even when the whole prompt's pages are shareable.
-        let hashes = match &self.paged {
-            Some(paged) if !request.prompt.is_empty() => {
-                let block = paged.block_tokens();
-                let mut hashes =
-                    prefix_block_hashes(request.prompt.iter().map(Vec::as_slice), block);
-                hashes.truncate((request.prompt.len() - 1) / block);
-                hashes
-            }
-            _ => Vec::new(),
+        // Prefix-sharing servers hash the prompt at block boundaries
+        // once, at admission. Capped at `prompt_len - 1`: the last prompt
+        // token's hidden state is the request's first output, so it must
+        // be computed even when the whole prompt's pages are shareable.
+        let hashes = if self.share_prefixes && !request.prompt.is_empty() {
+            let block = self.kv.block_tokens();
+            let mut hashes = prefix_block_hashes(request.prompt.iter().map(Vec::as_slice), block);
+            hashes.truncate((request.prompt.len() - 1) / block);
+            hashes
+        } else {
+            Vec::new()
         };
         self.queue.push_back(Queued {
             request,
@@ -411,14 +410,15 @@ impl<'m> TokenServer<'m> {
         self.failover_steps
     }
 
-    /// Paging statistics of the shared KV cache (`None` on flat
-    /// servers).
+    /// Paging statistics of the server's KV store. Always `Some`: every
+    /// server decodes through a [`PagedKvCache`] (a [`Self::new`] server
+    /// reports no shared tokens and no evictions).
     pub fn kv_stats(&self) -> Option<KvStats> {
-        self.paged.as_ref().map(PagedKvCache::stats)
+        Some(self.kv.stats())
     }
 
     /// Admissions deferred for KV budget headroom so far (the
-    /// `serve.kv.defer` counter; always `0` on flat servers).
+    /// `serve.kv.defer` counter; always `0` without a budget).
     pub fn kv_deferred(&self) -> u64 {
         self.kv_deferred
     }
@@ -443,6 +443,10 @@ impl<'m> TokenServer<'m> {
     ///
     /// A no-op (returns empty) when the server is idle.
     pub fn step(&mut self, backend: &dyn GemmBackend) -> Vec<Completion> {
+        if self.is_idle() {
+            return Vec::new();
+        }
+        let _span = pdac_telemetry::span("serve.step");
         // Sentinel failover hook (opt-in via `PDAC_SENTINEL_FAILOVER=1`):
         // once the drift sentinel has latched the health ledger critical,
         // reroute every subsequent decode step to the exact backend —
@@ -450,36 +454,54 @@ impl<'m> TokenServer<'m> {
         // quarantined. The latch only releases via an operator
         // `health::reset`, so rerouting never flaps mid-request.
         let failover = self.failover_armed && pdac_telemetry::health_critical();
+        if failover {
+            self.failover_steps += 1;
+            pdac_telemetry::counter_add("serve.sentinel_failover", 1);
+        }
         let backend: &dyn GemmBackend = if failover { &ExactGemm } else { backend };
+        self.admit_ready();
+        let tokens = self.assemble();
+        self.decode(&tokens, backend);
+        let retired = self.retire();
+        self.steps += 1;
+        self.completions.extend(retired.iter().cloned());
+        retired
+    }
+
+    /// Admission phase (`serve.step.admit`): moves queued requests into
+    /// free slots, mapping any published prompt prefix. A server that is
+    /// not idle always leaves this phase with work in flight.
+    fn admit_ready(&mut self) {
+        let _span = pdac_telemetry::span("serve.step.admit");
         // Load-shed hook: while the energy meter's power budget is
         // latched over budget, defer new admissions and let the
         // in-flight batch drain. Only sheds with work in flight — an
         // idle server must keep admitting, or no step would ever run to
         // re-evaluate the budget and clear the latch.
-        let shed = !self.active.is_empty() && pdac_power::meter::over_budget();
-        if shed && !self.queue.is_empty() {
-            self.shed_steps += 1;
-            pdac_telemetry::counter_add("serve.load_shed", 1);
+        if !self.active.is_empty() && pdac_power::meter::over_budget() {
+            if !self.queue.is_empty() {
+                self.shed_steps += 1;
+                pdac_telemetry::counter_add("serve.load_shed", 1);
+            }
+            return;
         }
-        while !shed && self.active.len() < self.max_batch {
+        while self.active.len() < self.max_batch {
             let Some(front) = self.queue.front() else {
                 break;
             };
-            // Budget-aware admission (paged servers): defer the request
-            // while its worst-case page demand — prompt + generation,
-            // minus what the prefix cache already holds — cannot be met
-            // from free pages, budget headroom and evictable prefixes.
-            // With nothing in flight it admits anyway (over-budget
-            // growth is counted, never fatal): deferring would deadlock.
-            if let Some(paged) = &self.paged {
-                let shared = paged.probe_prefix(&front.hashes);
-                let worst = (front.request.prompt.len().max(1) + front.request.max_new_tokens - 1)
-                    .saturating_sub(shared);
-                if !self.active.is_empty() && !paged.can_fit(worst) {
-                    self.kv_deferred += 1;
-                    pdac_telemetry::counter_add("serve.kv.defer", 1);
-                    break;
-                }
+            // Budget-aware admission: defer the request while its
+            // worst-case page demand — prompt + generation, minus what
+            // the prefix cache already holds — cannot be met from free
+            // pages, budget headroom and evictable prefixes. With nothing
+            // in flight it admits anyway (over-budget growth is counted,
+            // never fatal): deferring would deadlock.
+            let shared = self.kv.probe_prefix(&front.hashes);
+            let worst = (front.request.prompt.len().max(1) + front.request.max_new_tokens - 1)
+                .saturating_sub(shared);
+            if !self.active.is_empty() && !self.kv.can_fit(worst) {
+                self.kv_deferred += 1;
+                pdac_telemetry::counter_add("serve.kv.defer", 1);
+                break;
             }
             let q = self.queue.pop_front().expect("front exists");
             let entered_ns = pdac_telemetry::now_ns();
@@ -492,19 +514,13 @@ impl<'m> TokenServer<'m> {
                 q.span.ctx(),
                 None,
             );
-            // Paged: claim a slot and map any published prefix; the
-            // sequence then resumes at the first unshared prompt token.
-            let (kv, pos) = match &mut self.paged {
-                Some(paged) => {
-                    let slot = self.free_slots.pop().expect("active < max_batch");
-                    let shared = paged.lookup_prefix(slot, &q.hashes);
-                    (SeqKv::Paged(slot), shared)
-                }
-                None => (SeqKv::Flat(self.model.new_cache()), 0),
-            };
+            // Claim a slot and map any published prefix; the sequence
+            // then resumes at the first unshared prompt token.
+            let slot = self.free_slots.pop().expect("active < max_batch");
+            let pos = self.kv.lookup_prefix(slot, &q.hashes);
             self.active.push(Active {
                 id: q.request.id,
-                kv,
+                slot,
                 prompt: q.request.prompt,
                 pos,
                 generated: Vec::new(),
@@ -515,66 +531,36 @@ impl<'m> TokenServer<'m> {
                 entered_ns,
                 energy_j: 0.0,
                 hashes: q.hashes,
-                published: false,
             });
         }
-        if self.active.is_empty() {
-            return Vec::new();
-        }
-        if failover {
-            self.failover_steps += 1;
-            pdac_telemetry::counter_add("serve.sentinel_failover", 1);
-        }
-        let _span = pdac_telemetry::span("serve.step");
+    }
+
+    /// Assembly phase (`serve.step.assemble`): stacks every active
+    /// sequence's next input token into one `S × hidden` matrix.
+    fn assemble(&mut self) -> Mat {
+        let _span = pdac_telemetry::span("serve.step.assemble");
         let s = self.active.len();
         let hidden = self.model.config().hidden;
         pdac_telemetry::gauge_set("serve.batch_occupancy", s as f64);
         pdac_telemetry::observe("serve.occupancy", s as f64);
         self.occupancy_sum += s as u64;
-
         let mut data = Vec::with_capacity(s * hidden);
         for a in &self.active {
             data.extend_from_slice(&a.next_token(hidden));
         }
-        let tokens = Mat::from_rows(s, hidden, data).expect("batch assembly");
+        Mat::from_rows(s, hidden, data).expect("batch assembly")
+    }
+
+    /// Decode phase (`serve.step.decode`): one batched step through the
+    /// model, the step's metered energy split across the batch, and each
+    /// sequence's output recorded (prefix published once its prompt is
+    /// cached).
+    fn decode(&mut self, tokens: &Mat, backend: &dyn GemmBackend) {
+        let _span = pdac_telemetry::span("serve.step.decode");
+        let slots: Vec<usize> = self.active.iter().map(|a| a.slot).collect();
         let energy_before = pdac_power::meter::snapshot().map(|snap| snap.total_j());
-        match &mut self.paged {
-            Some(paged) => {
-                let slots: Vec<usize> = self
-                    .active
-                    .iter()
-                    .map(|a| match &a.kv {
-                        SeqKv::Paged(slot) => *slot,
-                        SeqKv::Flat(_) => unreachable!("flat sequence on a paged server"),
-                    })
-                    .collect();
-                self.model.decode_paged_with(
-                    &tokens,
-                    paged,
-                    &slots,
-                    backend,
-                    &mut self.scratch,
-                    &mut self.out,
-                );
-            }
-            None => {
-                let mut caches: Vec<&mut KvCache> = self
-                    .active
-                    .iter_mut()
-                    .map(|a| match &mut a.kv {
-                        SeqKv::Flat(cache) => cache,
-                        SeqKv::Paged(_) => unreachable!("paged sequence on a flat server"),
-                    })
-                    .collect();
-                self.model.decode_batch_with(
-                    &tokens,
-                    &mut caches,
-                    backend,
-                    &mut self.scratch,
-                    &mut self.out,
-                );
-            }
-        }
+        self.model
+            .decode_slots(tokens, &mut self.kv, &slots, backend, &mut self.out);
         // Split the step's metered energy delta across the batch in
         // proportion to per-sequence modeled MACs (projections + FFN are
         // shape-uniform; the KV terms scale with each context length),
@@ -583,18 +569,13 @@ impl<'m> TokenServer<'m> {
             if let Some(snap) = pdac_power::meter::flush() {
                 let delta = (snap.total_j() - before).max(0.0);
                 if delta > 0.0 {
-                    let d = hidden as f64;
+                    let d = self.model.config().hidden as f64;
                     let ff = self.model.config().ff_dim() as f64;
-                    let paged = self.paged.as_ref();
-                    let weights: Vec<f64> = self
-                        .active
+                    let weights: Vec<f64> = slots
                         .iter()
-                        .map(|a| {
-                            let len = match &a.kv {
-                                SeqKv::Flat(cache) => cache.len(),
-                                SeqKv::Paged(slot) => paged.expect("paged mode").seq_len(*slot),
-                            };
-                            4.0 * d * d + 2.0 * d * ff + 2.0 * d * len as f64
+                        .map(|&slot| {
+                            let len = self.kv.seq_len(slot) as f64;
+                            4.0 * d * d + 2.0 * d * ff + 2.0 * d * len
                         })
                         .collect();
                     let total_w: f64 = weights.iter().sum();
@@ -605,104 +586,99 @@ impl<'m> TokenServer<'m> {
                 }
             }
         }
-        self.fed_tokens += s as u64;
+        self.fed_tokens += slots.len() as u64;
         let token_ns = pdac_telemetry::now_ns();
         for (i, a) in self.active.iter_mut().enumerate() {
             if a.pos < a.prompt.len() {
                 a.pos += 1;
             }
-            if a.pos >= a.prompt.len() {
-                // The whole prompt is now cached: publish its full-block
-                // prefix pages so later requests with an equal prefix
-                // share them (paged servers, once per request).
-                if !a.published {
-                    if let (SeqKv::Paged(slot), Some(paged)) = (&a.kv, self.paged.as_mut()) {
-                        paged.publish_prefix(*slot, &a.hashes);
-                    }
-                    a.published = true;
-                }
-                a.generated.push(self.out.row(i));
-                self.generated_tokens += 1;
-                match a.last_token_ns {
-                    None => pdac_telemetry::observe(
-                        "serve.ttft",
-                        token_ns.saturating_sub(a.admitted_ns) as f64 * 1e-9,
-                    ),
-                    Some(prev) => pdac_telemetry::observe(
-                        "serve.itl",
-                        token_ns.saturating_sub(prev) as f64 * 1e-9,
-                    ),
-                }
-                a.last_token_ns = Some(token_ns);
+            if a.pos < a.prompt.len() {
+                continue;
             }
+            // The whole prompt is now cached: publish its full-block
+            // prefix pages so later requests with an equal prefix share
+            // them (once per request).
+            if !a.hashes.is_empty() {
+                self.kv
+                    .publish_prefix(a.slot, &std::mem::take(&mut a.hashes));
+            }
+            a.generated.push(self.out.row(i));
+            self.generated_tokens += 1;
+            match a.last_token_ns {
+                None => pdac_telemetry::observe(
+                    "serve.ttft",
+                    token_ns.saturating_sub(a.admitted_ns) as f64 * 1e-9,
+                ),
+                Some(prev) => pdac_telemetry::observe(
+                    "serve.itl",
+                    token_ns.saturating_sub(prev) as f64 * 1e-9,
+                ),
+            }
+            a.last_token_ns = Some(token_ns);
         }
+    }
 
-        let step = self.steps;
+    /// Retirement phase (`serve.step.retire`): every sequence that hit
+    /// its token budget leaves the batch, returns its pages and slot,
+    /// and closes its span tree.
+    fn retire(&mut self) -> Vec<Completion> {
+        let _span = pdac_telemetry::span("serve.step.retire");
         let mut retired = Vec::new();
         let mut i = 0;
         while i < self.active.len() {
-            if self.active[i].generated.len() >= self.active[i].max_new_tokens {
-                let a = self.active.remove(i);
-                pdac_telemetry::counter_add("serve.retired", 1);
-                // Paged retirement: record the slot's page footprint,
-                // then return its pages (shared prefixes survive via
-                // their prefix-index refcounts) and recycle the slot.
-                let kv_pages = match &a.kv {
-                    SeqKv::Paged(slot) => {
-                        let paged = self.paged.as_mut().expect("paged mode");
-                        let pages = paged.slot_page_ids(*slot).len();
-                        pdac_telemetry::observe("serve.kv.request_pages", pages as f64);
-                        paged.reset_slot(*slot);
-                        self.free_slots.push(*slot);
-                        pages
-                    }
-                    SeqKv::Flat(_) => 0,
-                };
-                let end_ns = pdac_telemetry::now_ns();
+            if self.active[i].generated.len() < self.active[i].max_new_tokens {
+                i += 1;
+                continue;
+            }
+            let a = self.active.remove(i);
+            pdac_telemetry::counter_add("serve.retired", 1);
+            // Record the slot's page footprint, then return its pages
+            // (shared prefixes survive via their prefix-index refcounts)
+            // and recycle the slot.
+            let kv_pages = self.kv.slot_page_ids(a.slot).len();
+            pdac_telemetry::observe("serve.kv.request_pages", kv_pages as f64);
+            self.kv.reset_slot(a.slot);
+            self.free_slots.push(a.slot);
+            let end_ns = pdac_telemetry::now_ns();
+            pdac_telemetry::record_span(
+                "serve.request.generate",
+                a.entered_ns,
+                end_ns,
+                a.span.ctx(),
+                None,
+            );
+            pdac_telemetry::observe(
+                "serve.e2e",
+                end_ns.saturating_sub(a.admitted_ns) as f64 * 1e-9,
+            );
+            if a.energy_j > 0.0 {
+                pdac_telemetry::observe("serve.request.energy_j", a.energy_j);
+                if !a.generated.is_empty() {
+                    pdac_telemetry::observe(
+                        "serve.energy_per_token_j",
+                        a.energy_j / a.generated.len() as f64,
+                    );
+                }
+                // The request's energy ledger rides its span tree:
+                // arg carries the attributed nanojoules.
                 pdac_telemetry::record_span(
-                    "serve.request.generate",
+                    "serve.request.energy",
                     a.entered_ns,
                     end_ns,
                     a.span.ctx(),
-                    None,
+                    Some((a.energy_j * 1e9) as u64),
                 );
-                pdac_telemetry::observe(
-                    "serve.e2e",
-                    end_ns.saturating_sub(a.admitted_ns) as f64 * 1e-9,
-                );
-                if a.energy_j > 0.0 {
-                    pdac_telemetry::observe("serve.request.energy_j", a.energy_j);
-                    if !a.generated.is_empty() {
-                        pdac_telemetry::observe(
-                            "serve.energy_per_token_j",
-                            a.energy_j / a.generated.len() as f64,
-                        );
-                    }
-                    // The request's energy ledger rides its span tree:
-                    // arg carries the attributed nanojoules.
-                    pdac_telemetry::record_span(
-                        "serve.request.energy",
-                        a.entered_ns,
-                        end_ns,
-                        a.span.ctx(),
-                        Some((a.energy_j * 1e9) as u64),
-                    );
-                }
-                a.span.end();
-                retired.push(Completion {
-                    id: a.id,
-                    prompt_tokens: a.prompt.len(),
-                    hidden: a.generated,
-                    finished_step: step,
-                    energy_j: a.energy_j,
-                    kv_pages,
-                });
-            } else {
-                i += 1;
             }
+            a.span.end();
+            retired.push(Completion {
+                id: a.id,
+                prompt_tokens: a.prompt.len(),
+                hidden: a.generated,
+                finished_step: self.steps,
+                energy_j: a.energy_j,
+                kv_pages,
+            });
         }
-        self.steps += 1;
-        self.completions.extend(retired.iter().cloned());
         retired
     }
 
@@ -903,7 +879,7 @@ mod tests {
 
     #[test]
     fn paged_server_bit_identical_to_flat_and_reference() {
-        // The full flat-server battery, served through a PagedKvCache
+        // The `TokenServer::new` battery, served through a sharing store
         // (block 2, unbounded): every completion must still match the
         // solo-decode reference bit for bit.
         let model = tiny_model();
@@ -934,13 +910,7 @@ mod tests {
             let stats = server.kv_stats().expect("paged server");
             assert_eq!(
                 stats.live_pages,
-                server
-                    .paged
-                    .as_ref()
-                    .unwrap()
-                    .mapped_page_ids()
-                    .len()
-                    .min(stats.live_pages)
+                server.kv.mapped_page_ids().len().min(stats.live_pages)
             );
             assert_eq!(server.active(), 0);
         }
@@ -948,9 +918,9 @@ mod tests {
 
     #[test]
     fn shared_system_prompt_shares_pages_and_matches_unshared_run() {
-        // Satellite: two requests with an identical system prompt must
-        // report `serve.kv.shared > 0` and produce byte-identical
-        // completions to the unshared (flat-server) run.
+        // Two requests with an identical system prompt must report
+        // `serve.kv.shared > 0` and produce byte-identical completions to
+        // the unshared run (a `TokenServer::new` server never shares).
         let model = tiny_model();
         let system_prompt = prompt_rows(&model, 5, 500); // block 2 → shares 4
         let run = |paged: bool| -> (Vec<Completion>, Option<KvStats>) {
@@ -980,8 +950,13 @@ mod tests {
             let stats = server.kv_stats();
             (done, stats)
         };
-        let (flat, none) = run(false);
-        assert!(none.is_none());
+        let (flat, unshared) = run(false);
+        let unshared = unshared.expect("every server reports kv stats");
+        assert_eq!(unshared.shared_tokens, 0, "TokenServer::new never shares");
+        assert_eq!(
+            unshared.prefix_entries, 0,
+            "TokenServer::new never publishes"
+        );
         let (paged, stats) = run(true);
         let stats = stats.expect("paged server");
         assert!(stats.shared_tokens > 0, "identical prompts never shared");

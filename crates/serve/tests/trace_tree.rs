@@ -116,19 +116,55 @@ fn every_admitted_request_yields_one_complete_span_tree() {
         assert_eq!(c.hidden.len(), n, "request {id}");
     }
 
-    // Step-level spans exist and parent the decode work.
+    // Step-level spans exist; each owns one child per phase, in order,
+    // whose durations fit inside the step.
     let steps: Vec<&SpanEvent> = events.iter().filter(|e| e.name == "serve.step").collect();
     assert!(!steps.is_empty(), "serve.step spans recorded");
-    let step_ids: Vec<u64> = steps.iter().map(|e| e.id).collect();
+    let phases = [
+        "serve.step.admit",
+        "serve.step.assemble",
+        "serve.step.decode",
+        "serve.step.retire",
+    ];
+    for step in &steps {
+        let mut prev_end = step.start_ns;
+        let mut total = 0;
+        for phase in phases {
+            let found = children(&events, step, phase);
+            assert_eq!(found.len(), 1, "one {phase} child per serve.step");
+            let p = found[0];
+            assert!(p.start_ns >= prev_end, "{phase} out of order");
+            assert!(p.end_ns <= step.end_ns, "{phase} outlives its step");
+            prev_end = p.end_ns;
+            total += p.end_ns - p.start_ns;
+        }
+        assert!(
+            total <= step.end_ns - step.start_ns,
+            "phase durations exceed the step span"
+        );
+    }
+    let phase_count = events.iter().filter(|e| phases.contains(&e.name)).count();
+    assert_eq!(
+        phase_count,
+        4 * steps.len(),
+        "phase spans outside serve.step"
+    );
+
+    // The decode work nests under each step's decode phase.
+    let decode_ids: Vec<u64> = events
+        .iter()
+        .filter(|e| e.name == "serve.step.decode")
+        .map(|e| e.id)
+        .collect();
     let decodes: Vec<&SpanEvent> = events
         .iter()
         .filter(|e| e.name == "nn.inference.decode_batch")
         .collect();
-    assert!(!decodes.is_empty(), "decode_batch spans recorded");
+    assert_eq!(decodes.len(), steps.len(), "one decode_batch span per step");
     for d in &decodes {
         assert!(
-            step_ids.contains(&d.parent),
-            "decode_batch span must nest under a serve.step span"
+            decode_ids.contains(&d.parent),
+            "decode_batch span must nest under a serve.step.decode span"
         );
     }
 }

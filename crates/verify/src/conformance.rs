@@ -27,14 +27,13 @@ use pdac_core::edac::ElectricalDac;
 use pdac_core::ideal::IdealDac;
 use pdac_core::lut::ConverterLut;
 use pdac_core::pdac::PDac;
-use pdac_math::gemm::{gemm, gemm_prepacked, gemm_scoped, PackedB};
+use pdac_math::gemm::{gemm, gemm_prepacked, PackedB};
 use pdac_math::rng::SplitMix64;
 use pdac_math::Mat;
 use pdac_nn::gemm::{AnalogGemm, ExactGemm, GemmBackend};
 use pdac_nn::quant::QuantizedMat;
 use pdac_nn::{
-    prefix_block_hashes, BatchedKvCache, DecodeScratch, KvCache, PagedConfig, PagedKvCache,
-    TransformerConfig, TransformerModel,
+    prefix_block_hashes, PagedConfig, PagedKvCache, TransformerConfig, TransformerModel,
 };
 use pdac_power::ArchConfig;
 
@@ -200,8 +199,8 @@ fn kernel_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
     ]
 }
 
-/// Persistent worker-pool GEMM vs the scoped-spawn baseline and the
-/// reference triple loop — bit identity across shapes and explicit
+/// Persistent worker-pool GEMM vs the reference triple loop and the
+/// prepacked entry point — bit identity across shapes and explicit
 /// thread counts (including odd panel splits).
 fn pool_kernel_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
     let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ 0x900C);
@@ -211,7 +210,6 @@ fn pool_kernel_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
             .filter(|(p, q)| p.to_bits() != q.to_bits())
             .count()
     };
-    let mut diffs_scoped = 0usize;
     let mut diffs_reference = 0usize;
     let mut diffs_prepacked = 0usize;
     for &(m, k, n) in &cfg.gemm_shapes {
@@ -221,19 +219,15 @@ fn pool_kernel_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
         let packed = PackedB::pack(b.as_slice(), k, n);
         for threads in [1usize, 2, 7] {
             let mut pooled = vec![0.0; m * n];
-            let mut scoped = vec![0.0; m * n];
             let mut pre = vec![0.0; m * n];
             gemm(a.as_slice(), b.as_slice(), m, k, n, &mut pooled, threads);
-            gemm_scoped(a.as_slice(), b.as_slice(), m, k, n, &mut scoped, threads);
             gemm_prepacked(a.as_slice(), &packed, m, &mut pre, threads);
-            diffs_scoped += bit_diffs(&pooled, &scoped);
             diffs_prepacked += bit_diffs(&pooled, &pre);
             diffs_reference += bit_diffs(&pooled, reference.as_slice());
         }
     }
     let detail = format!("shapes={:?} threads=[1,2,7]", cfg.gemm_shapes);
     vec![
-        bit_identity_check("kernel.pool.gemm_vs_scoped", diffs_scoped, detail.clone()),
         bit_identity_check(
             "kernel.pool.gemm_vs_reference",
             diffs_reference,
@@ -265,7 +259,7 @@ fn batched_decode_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
     let mut checks = Vec::new();
     for (label, backend) in backends {
         let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ 0xBA7C4);
-        let mut batch = BatchedKvCache::new(&model, s);
+        let mut batch = PagedKvCache::new(&model, s, PagedConfig::default());
         let mut solo: Vec<_> = (0..s).map(|_| model.new_cache()).collect();
         let mut diffs = 0usize;
         for _ in 0..steps {
@@ -293,7 +287,7 @@ fn batched_decode_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
 /// The slot-grouped attention path under *ragged* cache lengths:
 /// caches are pre-warmed to distinct depths (2/0/1/2) so every
 /// subsequent step decodes against three slot-groups at once — one of
-/// them holding two sequences — and each `decode_batch_with` row must
+/// them holding two sequences — and each `decode_batch` row must
 /// still be bit-identical to feeding that sequence through
 /// `decode_step` alone, for the exact and the analog backend.
 ///
@@ -320,31 +314,21 @@ fn grouped_attention_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
     let mut checks = Vec::new();
     for (label, backend) in backends {
         let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ 0x6A0B5);
-        let mut batched: Vec<KvCache> = (0..s).map(|_| model.new_cache()).collect();
-        let mut solo: Vec<KvCache> = (0..s).map(|_| model.new_cache()).collect();
+        let mut batched = PagedKvCache::new(&model, s, PagedConfig::default());
+        let mut solo: Vec<PagedKvCache> = (0..s).map(|_| model.new_cache()).collect();
+        let mut got = Mat::zeros(1, 1);
         // Warm both sides identically so the batch starts ragged.
         for (sq, &depth) in warm.iter().enumerate() {
             for _ in 0..depth {
                 let tok = random_mat(1, hidden, &mut rng);
-                let _ = model.decode_step(&tok.row(0), &mut batched[sq], backend.as_ref());
+                model.decode_slots(&tok, &mut batched, &[sq], backend.as_ref(), &mut got);
                 let _ = model.decode_step(&tok.row(0), &mut solo[sq], backend.as_ref());
             }
         }
-        let mut scratch = DecodeScratch::new();
-        let mut got = Mat::zeros(1, 1);
         let mut diffs = 0usize;
         for _ in 0..steps {
             let tokens = random_mat(s, hidden, &mut rng);
-            {
-                let mut refs: Vec<&mut KvCache> = batched.iter_mut().collect();
-                model.decode_batch_with(
-                    &tokens,
-                    &mut refs,
-                    backend.as_ref(),
-                    &mut scratch,
-                    &mut got,
-                );
-            }
+            let got = model.decode_batch(&tokens, &mut batched, backend.as_ref());
             for (sq, cache) in solo.iter_mut().enumerate() {
                 let want = model.decode_step(&tokens.row(sq), cache, backend.as_ref());
                 diffs += got
@@ -360,21 +344,22 @@ fn grouped_attention_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
             diffs,
             format!(
                 "{steps} steps x batch {s}, pre-warmed cache depths {warm:?} (three \
-                 slot-groups per step): decode_batch_with rows vs independent decode_step"
+                 slot-groups per step): decode_batch rows vs independent decode_step"
             ),
         ));
     }
     checks
 }
 
-/// The paged KV cache vs the flat caches: the same ragged decode
-/// workload run through `decode_paged_with` (page-table indirection,
-/// block 2 so every sequence spans multiple pages) and through solo
-/// `decode_step` must produce bit-identical rows — for the exact and
-/// the cached analog backend. Plus two paged-only properties: a
-/// prefix-shared continuation matches the unshared run bit-for-bit, and
-/// copy-on-write divergence never mutates the forked-from sequence's
-/// pages.
+/// The paged KV cache against independent oracles: a ragged decode
+/// workload (block 2, so every sequence spans several pages) must
+/// reproduce, bit for bit, `forward_causal` over each slot's token
+/// history on the exact backend, and on the cached analog backend each
+/// sequence decoded solo through a one-slot cache whose single page
+/// holds the whole sequence — page-split indirection is pure data
+/// movement. Plus two sharing properties: a prefix-shared continuation
+/// matches the unshared run bit-for-bit, and copy-on-write divergence
+/// never mutates the forked-from sequence's pages.
 fn paged_kv_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
     let model = TransformerModel::random(TransformerConfig::tiny(), 4, cfg.seed);
     let hidden = model.config().hidden;
@@ -394,55 +379,54 @@ fn paged_kv_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
     ];
     let mut checks = Vec::new();
     for (label, backend) in backends {
+        let backend = backend.as_ref();
         let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ 0x9A6ED);
         let mut paged = PagedKvCache::new(&model, s, PagedConfig::new(block));
-        let mut solo: Vec<KvCache> = (0..s).map(|_| model.new_cache()).collect();
-        let mut scratch = DecodeScratch::new();
         let mut got = Mat::zeros(1, 1);
-        // Warm both sides to ragged depths, slot by slot through the
-        // paged engine itself.
+        // Per slot: every input token and the hidden row decoded for it.
+        let mut history: Vec<Vec<(Vec<f64>, Vec<f64>)>> = vec![Vec::new(); s];
+        // Warm to ragged depths, slot by slot, then decode all together.
         for (sq, &depth) in warm.iter().enumerate() {
             for _ in 0..depth {
                 let tok = random_mat(1, hidden, &mut rng);
-                model.decode_paged_with(
-                    &tok,
-                    &mut paged,
-                    &[sq],
-                    backend.as_ref(),
-                    &mut scratch,
-                    &mut got,
-                );
-                let _ = model.decode_step(&tok.row(0), &mut solo[sq], backend.as_ref());
+                model.decode_slots(&tok, &mut paged, &[sq], backend, &mut got);
+                history[sq].push((tok.row(0), got.row(0)));
             }
         }
-        let slots: Vec<usize> = (0..s).collect();
-        let mut diffs = 0usize;
         for _ in 0..steps {
             let tokens = random_mat(s, hidden, &mut rng);
-            model.decode_paged_with(
-                &tokens,
-                &mut paged,
-                &slots,
-                backend.as_ref(),
-                &mut scratch,
-                &mut got,
-            );
-            for (sq, cache) in solo.iter_mut().enumerate() {
-                let want = model.decode_step(&tokens.row(sq), cache, backend.as_ref());
-                diffs += got
-                    .row_slice(sq)
-                    .iter()
-                    .zip(&want)
-                    .filter(|(x, y)| x.to_bits() != y.to_bits())
-                    .count();
+            let got = model.decode_batch(&tokens, &mut paged, backend);
+            for (sq, h) in history.iter_mut().enumerate() {
+                h.push((tokens.row(sq), got.row(sq)));
             }
         }
+        let mut diffs = 0usize;
+        for h in &history {
+            let inputs = Mat::from_fn(h.len(), hidden, |r, c| h[r].0[c]);
+            let decoded = Mat::from_fn(h.len(), hidden, |r, c| h[r].1[c]);
+            let want = if label == "exact" {
+                model.forward_causal(&inputs, backend)
+            } else {
+                let mut solo = PagedKvCache::new(&model, 1, PagedConfig::new(h.len()));
+                let rows: Vec<f64> = h
+                    .iter()
+                    .flat_map(|(tok, _)| model.decode_step(tok, &mut solo, backend))
+                    .collect();
+                Mat::from_rows(h.len(), hidden, rows).expect("solo rows")
+            };
+            diffs += differing_bits(&decoded, &want);
+        }
+        let oracle = if label == "exact" {
+            "forward_causal over each slot's history"
+        } else {
+            "solo decode through one single-page cache"
+        };
         checks.push(bit_identity_check(
-            &format!("decode.kv.paged_vs_flat.{label}"),
+            &format!("decode.kv.paged_vs_oracle.{label}"),
             diffs,
             format!(
                 "{steps} steps x batch {s}, block {block}, pre-warmed depths {warm:?}: \
-                 decode_paged_with rows vs independent decode_step"
+                 paged decode rows vs {oracle}"
             ),
         ));
     }
@@ -457,17 +441,14 @@ fn paged_kv_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
         let prompt_len = 2 * block;
         let extra = steps;
         let mut paged = PagedKvCache::new(&model, 2, PagedConfig::new(block));
-        let mut solo = model.new_cache();
-        let mut scratch = DecodeScratch::new();
         let mut got = Mat::zeros(1, 1);
         let tokens: Vec<Mat> = (0..prompt_len + extra)
             .map(|_| random_mat(1, hidden, &mut rng))
             .collect();
         let mut unshared = Vec::new();
         for tok in &tokens {
-            model.decode_paged_with(tok, &mut paged, &[0], &backend, &mut scratch, &mut got);
+            model.decode_slots(tok, &mut paged, &[0], &backend, &mut got);
             unshared.push(got.clone());
-            let _ = model.decode_step(&tok.row(0), &mut solo, &backend);
         }
         let prompt_slices: Vec<&[f64]> = tokens[..prompt_len]
             .iter()
@@ -478,7 +459,7 @@ fn paged_kv_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
         let shared = paged.lookup_prefix(1, &hashes);
         let mut diffs = 0usize;
         for (i, tok) in tokens.iter().enumerate().skip(shared) {
-            model.decode_paged_with(tok, &mut paged, &[1], &backend, &mut scratch, &mut got);
+            model.decode_slots(tok, &mut paged, &[1], &backend, &mut got);
             diffs += differing_bits(&got, &unshared[i]);
         }
         // Sharing must actually have happened, or the comparison is
@@ -501,7 +482,7 @@ fn paged_kv_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
         // source sequence off a block boundary first.
         if paged.seq_len(1).is_multiple_of(block) {
             let tok = random_mat(1, hidden, &mut rng);
-            model.decode_paged_with(&tok, &mut paged, &[1], &backend, &mut scratch, &mut got);
+            model.decode_slots(&tok, &mut paged, &[1], &backend, &mut got);
         }
         let snapshot = |paged: &PagedKvCache| {
             let mut bits = Vec::new();
@@ -517,7 +498,7 @@ fn paged_kv_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
         let cow_before = paged.stats().cow_copies;
         paged.fork_slot(0, 1);
         let tok = random_mat(1, hidden, &mut rng);
-        model.decode_paged_with(&tok, &mut paged, &[0], &backend, &mut scratch, &mut got);
+        model.decode_slots(&tok, &mut paged, &[0], &backend, &mut got);
         let after = snapshot(&paged);
         let cow_hit = paged.stats().cow_copies > cow_before;
         checks.push(invariant_check(
@@ -550,7 +531,7 @@ fn tracing_invariance_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
             pdac_telemetry::disable();
         }
         let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ 0x7AACE);
-        let mut batch = BatchedKvCache::new(&model, s);
+        let mut batch = PagedKvCache::new(&model, s, PagedConfig::default());
         (0..steps)
             .map(|_| {
                 let tokens = random_mat(s, hidden, &mut rng);
@@ -602,7 +583,7 @@ fn sentinel_invariance_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
 
     let run = || -> Vec<Mat> {
         let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ 0x5E47);
-        let mut batch = BatchedKvCache::new(&model, s);
+        let mut batch = PagedKvCache::new(&model, s, PagedConfig::default());
         (0..steps)
             .map(|_| {
                 let tokens = random_mat(s, hidden, &mut rng);
@@ -659,7 +640,7 @@ fn energy_meter_invariance_checks(cfg: &ConformanceConfig) -> Vec<CheckResult> {
 
     let run = || -> Vec<Mat> {
         let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ 0xE4E26);
-        let mut batch = BatchedKvCache::new(&model, s);
+        let mut batch = PagedKvCache::new(&model, s, PagedConfig::default());
         (0..steps)
             .map(|_| {
                 let tokens = random_mat(s, hidden, &mut rng);

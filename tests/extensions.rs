@@ -98,7 +98,7 @@ fn kv_cache_decode_runs_under_analog_backend() {
     for t in 0..4 {
         last = model.decode_step(&model.random_input(t).row(0), &mut cache, &backend);
     }
-    assert_eq!(cache.len(), 4);
+    assert_eq!(cache.seq_len(0), 4);
     assert_eq!(last.len(), 32);
     // Compare against the exact decode of the same stream.
     let mut exact_cache = model.new_cache();
