@@ -1,238 +1,90 @@
-//! Throughput of the batched decode engine: aggregate tokens/s at batch
-//! sizes {1, 4, 8, 16} for the exact and the P-DAC analog backend,
-//! against the sequential baseline (the same sequences decoded one at a
-//! time through `decode_step`).
-//!
-//! Emits `BENCH_decode.json` (override with `PDAC_BENCH_OUT`). Knobs
-//! for CI smoke runs: `PDAC_BENCH_DECODE_HIDDEN` / `_LAYERS` / `_HEADS`
-//! (default 256/4/4), `_PROMPT` / `_TOKENS` (default 8/24), `_BATCHES`
-//! (default `1,4,8,16`), `_BACKENDS` (default `exact,pdac`), `_REPS`
-//! (default 1 — with N > 1 each batched/sequential time is the minimum
-//! of N interleaved pairs, cancelling clock drift on busy machines),
-//! and `_FLOOR` (assert every measured speedup ≥ this ratio — the CI
-//! smoke uses it to fail any batch size slower than sequential). The
-//! batch-8 speedup floors (P-DAC ≥3×, exact ≥2× over sequential) are
-//! asserted only at the default configuration.
+//! Batched decode throughput: aggregate tokens/s at each batch size for
+//! the exact and the P-DAC backend, against the same sequences decoded
+//! one at a time through a one-slot cache. Emits `BENCH_decode.json`;
+//! each `pdac` record run beside `exact` carries the gated
+//! `pdac_over_exact` (P-DAC over exact batched tokens/s). Knobs
+//! `PDAC_BENCH_DECODE_*`: `HIDDEN`/`LAYERS`/`HEADS` (256/4/4),
+//! `PROMPT`/`TOKENS` (8/24), `BATCHES` (`1,4,8,16`), `BACKENDS`
+//! (`exact,pdac`), `REPS` (1; best of N alternating pairs) and `FLOOR`
+//! (minimum speedup from batch 2 up: at batch 1 both sides run the same
+//! one-slot decode). The default shape asserts the batch-8 speedups:
+//! P-DAC ≥ 3×, exact ≥ 2×.
 
-use std::time::Instant;
-
-use pdac_core::pdac::PDac;
-use pdac_math::Mat;
-use pdac_nn::{
-    AnalogGemm, ExactGemm, GemmBackend, PagedConfig, PagedKvCache, TransformerConfig,
-    TransformerModel,
+use pdac_bench::decode::{
+    backend, best, decode_secs, interleave, or_exit, per, prompt_tokens, write_bench, DecodeShape,
+    Knobs, BACKENDS,
 };
-use pdac_serve::feedback_embedding;
+use pdac_math::Mat;
+use pdac_nn::{GemmBackend, TransformerModel};
 use pdac_telemetry::Json;
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(name: &str) -> Option<f64> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
-}
-
-fn prompt_tokens(model: &TransformerModel, s: usize, len: usize, seed: u64) -> Vec<Mat> {
-    let mut rng = pdac_math::rng::SplitMix64::seed_from_u64(seed);
-    (0..len)
-        .map(|_| {
-            Mat::from_fn(s, model.config().hidden, |_, _| {
-                rng.gen_range_f64(-1.0, 1.0)
-            })
-        })
-        .collect()
-}
-
-/// Decodes `s` sequences for `prompt.len() + gen` steps through the
-/// batched engine; returns elapsed seconds.
-fn run_batched(
-    model: &TransformerModel,
-    backend: &dyn GemmBackend,
-    prompt: &[Mat],
-    gen: usize,
-) -> f64 {
-    let s = prompt[0].rows();
-    let mut batch = PagedKvCache::new(model, s, PagedConfig::default());
-    let start = Instant::now();
-    let mut last = model.decode_batch(&prompt[0], &mut batch, backend);
-    for tok in &prompt[1..] {
-        last = model.decode_batch(tok, &mut batch, backend);
-    }
-    for _ in 0..gen {
-        let hidden = model.config().hidden;
-        let mut data = Vec::with_capacity(s * hidden);
-        for r in 0..s {
-            data.extend(feedback_embedding(last.row_slice(r)));
-        }
-        let next = Mat::from_rows(s, hidden, data).expect("feedback batch");
-        last = model.decode_batch(&next, &mut batch, backend);
-    }
-    start.elapsed().as_secs_f64()
-}
-
-/// The same workload, one sequence at a time through `decode_step` (the
-/// pre-batching serving strategy); returns elapsed seconds.
-fn run_sequential(
-    model: &TransformerModel,
-    backend: &dyn GemmBackend,
-    prompt: &[Mat],
-    gen: usize,
-) -> f64 {
-    let s = prompt[0].rows();
-    let start = Instant::now();
-    for seq in 0..s {
-        let mut cache = model.new_cache();
-        let mut last = model.decode_step(&prompt[0].row(seq), &mut cache, backend);
-        for tok in &prompt[1..] {
-            last = model.decode_step(&tok.row(seq), &mut cache, backend);
-        }
-        for _ in 0..gen {
-            let next = feedback_embedding(&last);
-            last = model.decode_step(&next, &mut cache, backend);
-        }
-    }
-    start.elapsed().as_secs_f64()
+/// The same sequences one at a time, each through its own one-slot
+/// cache (the pre-batching serving strategy); returns total seconds.
+fn run_sequential(m: &TransformerModel, b: &dyn GemmBackend, prompt: &[Mat], gen: usize) -> f64 {
+    let row = |r: usize| move |t: &Mat| Mat::from_rows(1, t.cols(), t.row(r)).unwrap();
+    let seqs = (0..prompt[0].rows()).map(|r| prompt.iter().map(row(r)).collect::<Vec<_>>());
+    seqs.map(|seq| decode_secs(m, b, &seq, gen)).sum()
 }
 
 fn main() {
-    let hidden = env_usize("PDAC_BENCH_DECODE_HIDDEN", 256);
-    let layers = env_usize("PDAC_BENCH_DECODE_LAYERS", 4);
-    let heads = env_usize("PDAC_BENCH_DECODE_HEADS", 4);
-    let prompt_len = env_usize("PDAC_BENCH_DECODE_PROMPT", 8);
-    let gen = env_usize("PDAC_BENCH_DECODE_TOKENS", 24);
-    let batches: Vec<usize> = std::env::var("PDAC_BENCH_DECODE_BATCHES")
-        .unwrap_or_else(|_| "1,4,8,16".to_string())
-        .split(',')
-        .filter_map(|v| v.trim().parse().ok())
-        .collect();
-    let backend_names =
-        std::env::var("PDAC_BENCH_DECODE_BACKENDS").unwrap_or_else(|_| "exact,pdac".to_string());
-    let reps = env_usize("PDAC_BENCH_DECODE_REPS", 1).max(1);
-    let floor = env_f64("PDAC_BENCH_DECODE_FLOOR");
-    let default_run = hidden == 256 && layers == 4 && prompt_len == 8 && gen == 24;
+    let knobs = Knobs::env("PDAC_BENCH_DECODE");
+    let default = DecodeShape::of([256, 4, 4, 8, 24]);
+    let shape = or_exit(default.with_knobs(&knobs));
+    let batches = or_exit(knobs.list("BATCHES", vec![1, 4, 8, 16]));
+    let labels = or_exit(knobs.pick("BACKENDS", &BACKENDS));
+    let reps = or_exit(knobs.get("REPS", 1)).max(1);
+    let floor = or_exit(knobs.opt::<f64>("FLOOR"));
+    let default_run = DecodeShape { heads: 4, ..shape } == default;
+    let model = shape.model("decode-bench");
 
-    let config = TransformerConfig {
-        name: "decode-bench".to_string(),
-        layers,
-        hidden,
-        heads,
-        ff_mult: 4,
-        seq_len: prompt_len + gen,
-    };
-    config.validate().expect("valid bench config");
-    let model = TransformerModel::random(config, 4, 42);
-
-    let backends: Vec<(&str, Box<dyn GemmBackend>)> = vec![
-        ("exact", Box::new(ExactGemm) as Box<dyn GemmBackend>),
-        (
-            "pdac",
-            Box::new(AnalogGemm::new(
-                PDac::with_optimal_approx(8).expect("8-bit pdac"),
-                "pdac-8b",
-            )),
-        ),
-    ]
-    .into_iter()
-    .filter(|(label, _)| backend_names.split(',').any(|b| b.trim() == *label))
-    .collect();
-
-    let mut records = Vec::new();
-    let mut pdac_batch8_speedup = None;
-    let mut exact_batch8_speedup = None;
-    for (label, backend) in &backends {
+    let (mut records, mut exact_tps) = (Vec::new(), Vec::new());
+    for label in labels {
+        let backend = backend(label);
+        let backend = backend.as_ref();
         for &s in &batches {
-            let prompt = prompt_tokens(&model, s, prompt_len, 7 * s as u64 + 1);
-            let total_tokens = (s * (prompt_len + gen)) as f64;
-            // One warm pass primes weight caches and packs out of the
-            // timed region.
-            let _ = run_batched(&model, backend.as_ref(), &prompt, 1.min(gen));
-            // Interleaved pairs, minimum of `reps`: both sides see the
-            // same thermal/clock conditions, and the min discards
-            // scheduler hiccups that would otherwise swing the ratio.
-            let mut batched_s = f64::INFINITY;
-            let mut sequential_s = f64::INFINITY;
-            for rep in 0..reps {
-                // Alternate which side runs first: a one-directional
-                // clock ramp inside each pair would otherwise bias the
-                // ratio the same way every rep, and the min never
-                // cancels it.
-                if rep % 2 == 0 {
-                    batched_s = batched_s.min(run_batched(&model, backend.as_ref(), &prompt, gen));
-                    sequential_s =
-                        sequential_s.min(run_sequential(&model, backend.as_ref(), &prompt, gen));
-                } else {
-                    sequential_s =
-                        sequential_s.min(run_sequential(&model, backend.as_ref(), &prompt, gen));
-                    batched_s = batched_s.min(run_batched(&model, backend.as_ref(), &prompt, gen));
-                }
-            }
-            let batched_tps = total_tokens / batched_s.max(1e-12);
-            let sequential_tps = total_tokens / sequential_s.max(1e-12);
-            let speedup = batched_tps / sequential_tps.max(1e-12);
+            let prompt = prompt_tokens(shape.hidden, s, shape.prompt, 0, 7 * s as u64 + 1);
+            let tokens = (s * (shape.prompt + shape.gen)) as f64;
+            // A warm pass primes weight caches and packs untimed.
+            decode_secs(&model, backend, &prompt, 1.min(shape.gen));
+            let times = interleave(reps, 2, |side| match side {
+                0 => decode_secs(&model, backend, &prompt, shape.gen),
+                _ => run_sequential(&model, backend, &prompt, shape.gen),
+            });
+            let (batched_s, sequential_s) = (best(&times[0]), best(&times[1]));
+            let (batched_tps, sequential_tps) = (per(tokens, batched_s), per(tokens, sequential_s));
+            let speedup = per(batched_tps, sequential_tps);
             println!(
                 "decode_engine/{label}/batch{s}: batched {batched_tps:>9.1} tok/s, \
                  sequential {sequential_tps:>9.1} tok/s, speedup {speedup:.2}x"
             );
-            if let Some(floor) = floor {
+            let claim = (default_run && s == 8).then_some(if label == "pdac" { 3.0 } else { 2.0 });
+            for floor in [floor.filter(|_| s >= 2), claim].into_iter().flatten() {
                 assert!(
                     speedup >= floor,
-                    "decode_engine/{label}/batch{s}: speedup {speedup:.3}x \
-                     below the {floor}x floor"
+                    "{label}/batch{s}: {speedup:.3}x < {floor}x"
                 );
             }
-            if s == 8 {
-                match *label {
-                    "pdac" => pdac_batch8_speedup = Some(speedup),
-                    "exact" => exact_batch8_speedup = Some(speedup),
-                    _ => {}
-                }
-            }
-            records.push(Json::Obj(vec![
-                ("backend".into(), Json::Str((*label).into())),
+            let mut fields = vec![
+                ("backend".into(), Json::Str(label.into())),
                 ("batch".into(), Json::Int(s as u64)),
-                ("tokens".into(), Json::Int(total_tokens as u64)),
+                ("tokens".into(), Json::Int(tokens as u64)),
                 ("batched_s".into(), Json::Num(batched_s)),
                 ("sequential_s".into(), Json::Num(sequential_s)),
                 ("batched_tokens_per_s".into(), Json::Num(batched_tps)),
                 ("sequential_tokens_per_s".into(), Json::Num(sequential_tps)),
                 ("speedup".into(), Json::Num(speedup)),
-            ]));
+            ];
+            if label == "exact" {
+                exact_tps.push((s, batched_tps));
+            } else if let Some(&(_, exact)) = exact_tps.iter().find(|(b, _)| *b == s) {
+                let ratio = per(batched_tps, exact);
+                println!("decode_engine/{label}/batch{s}: {ratio:.3}x exact tokens/s");
+                fields.push(("pdac_over_exact".into(), Json::Num(ratio)));
+            }
+            records.push(Json::Obj(fields));
         }
     }
-
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::Str("decode_engine".into())),
-        ("hidden".into(), Json::Int(hidden as u64)),
-        ("layers".into(), Json::Int(layers as u64)),
-        ("heads".into(), Json::Int(heads as u64)),
-        ("prompt".into(), Json::Int(prompt_len as u64)),
-        ("generated".into(), Json::Int(gen as u64)),
-        ("reps".into(), Json::Int(reps as u64)),
-        ("results".into(), Json::Arr(records)),
-    ]);
-    let out_path = std::env::var("PDAC_BENCH_OUT")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_decode.json").into());
-    std::fs::write(&out_path, doc.render() + "\n").expect("write bench json");
-    println!("decode_engine: wrote {out_path}");
-
-    if default_run {
-        if let Some(speedup) = pdac_batch8_speedup {
-            assert!(
-                speedup >= 3.0,
-                "P-DAC batch-8 speedup {speedup:.2}x below the 3x floor"
-            );
-            println!("decode_engine: P-DAC batch-8 speedup {speedup:.2}x (floor 3x) OK");
-        }
-        if let Some(speedup) = exact_batch8_speedup {
-            assert!(
-                speedup >= 2.0,
-                "exact batch-8 speedup {speedup:.2}x below the 2x floor"
-            );
-            println!("decode_engine: exact batch-8 speedup {speedup:.2}x (floor 2x) OK");
-        }
-    }
+    let mut doc = shape.doc("decode_engine", records);
+    doc.push(("reps".into(), Json::Int(reps as u64)));
+    write_bench("BENCH_decode.json", doc);
 }

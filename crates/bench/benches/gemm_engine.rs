@@ -4,9 +4,11 @@
 //!
 //! Emits `BENCH_gemm.json` (override the path with `PDAC_BENCH_OUT`)
 //! with per-variant throughput and the speedup of the full fast path
-//! over the seed scalar path. Knobs: `PDAC_BENCH_MS` (wall-clock budget
-//! per bench), `PDAC_BENCH_MAX_DIM` (largest cube; default 512).
+//! over the seed scalar path. Knobs (a malformed value exits 2):
+//! `PDAC_BENCH_MS` (wall-clock budget per bench), `PDAC_BENCH_MAX_DIM`
+//! (largest cube; default 512).
 
+use pdac_bench::decode::{or_exit, write_bench, Knobs};
 use pdac_bench::microbench::{bench, black_box, BenchResult};
 use pdac_core::converter::MzmDriver;
 use pdac_core::ideal::IdealDac;
@@ -41,10 +43,7 @@ fn record(size: usize, result: &BenchResult) -> Json {
 }
 
 fn main() {
-    let max_dim = std::env::var("PDAC_BENCH_MAX_DIM")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(512);
+    let max_dim = or_exit(Knobs::env("PDAC_BENCH").get("MAX_DIM", 512));
     let bits = 8;
     let driver = PDac::with_optimal_approx(bits).unwrap();
     let lut = ConverterLut::new(&driver);
@@ -154,16 +153,13 @@ fn main() {
         speedups.push(speedup);
     }
 
-    let doc = Json::Obj(vec![
+    let doc = vec![
         ("bench".into(), Json::Str("gemm_engine".into())),
         ("driver".into(), Json::Str("pdac".into())),
         ("bits".into(), Json::Int(u64::from(bits))),
         ("threads".into(), Json::Int(default_threads() as u64)),
         ("results".into(), Json::Arr(records)),
         ("speedups".into(), Json::Arr(speedups)),
-    ]);
-    let out_path = std::env::var("PDAC_BENCH_OUT")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gemm.json").into());
-    std::fs::write(&out_path, doc.render() + "\n").expect("write bench json");
-    println!("gemm_engine: wrote {out_path}");
+    ];
+    write_bench("BENCH_gemm.json", doc);
 }

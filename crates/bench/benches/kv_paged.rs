@@ -1,105 +1,26 @@
-//! Prefix sharing vs no sharing in the paged KV cache: memory footprint
-//! and throughput of a shared-prefix decode batch.
-//!
-//! The workload is the serving shape that prefix sharing exists for:
-//! `BATCH` sequences whose prompts share a long common prefix (75% by
-//! default). The "flat" side is the same paged store without prefix
-//! sharing (what `TokenServer::new` serves through): it decodes every
-//! sequence's full prompt. The "paged" side computes the shared prefix
-//! **once**, publishes it, and maps it into every slot via
-//! `lookup_prefix`, then decodes only the divergent tails. Both sides
-//! must produce bit-identical final hidden states — asserted every rep.
-//!
-//! Emits `BENCH_kv.json` (override with `PDAC_BENCH_OUT`) with two
-//! gated ratios per backend:
-//!
-//! * `flat_bytes_over_paged_bytes` — unshared backing bytes over shared
-//!   backing bytes (page granularity, shared pages counted once). ≥ 2× at the
-//!   default 75%-shared shape, i.e. the paged cache fits in ≤ 0.5× the
-//!   flat footprint.
-//! * `paged_tps_over_flat` — end-to-end decode throughput ratio at
-//!   equal serving work. Prefix reuse skips recompute, so this should
-//!   sit ≥ 1; the default-config floor is 0.95 (within 5% of unshared).
-//!
-//! Knobs: `PDAC_BENCH_KV_HIDDEN` / `_LAYERS` / `_HEADS` (default
-//! 64/2/4), `_BATCH` (8), `_PROMPT` / `_SHARED` (32/24), `_TOKENS`
-//! (generated per sequence, 4), `_BLOCK` (page size in tokens, 4),
-//! `_BACKENDS` (`exact,pdac`), `_REPS` (3 — interleaved min-of-reps).
+//! Prefix sharing vs no sharing in the paged KV cache: `BATCH` sequences
+//! share a prompt prefix (75% by default). The flat side is the paged
+//! store without sharing (what `TokenServer::new` serves through) and
+//! decodes every full prompt; the paged side computes the prefix once,
+//! publishes it, maps it into every slot and decodes only the tails.
+//! Every rep asserts both end on bit-identical hidden states. Emits
+//! `BENCH_kv.json` with the gated `flat_bytes_over_paged_bytes` (floor 2×
+//! at the default shape) and `paged_tps_over_flat` (floor 0.95). Knobs
+//! `PDAC_BENCH_KV_*`: `HIDDEN`/`LAYERS`/`HEADS` (64/2/4), `BATCH` (8),
+//! `PROMPT`/`SHARED` (32/24), `TOKENS` (4), `BLOCK` (page tokens, 4),
+//! `BACKENDS` (`exact,pdac`), `REPS` (3; best of alternating pairs).
 
-use std::time::Instant;
-
-use pdac_core::pdac::PDac;
-use pdac_math::rng::SplitMix64;
-use pdac_math::Mat;
-use pdac_nn::{
-    prefix_block_hashes, AnalogGemm, ExactGemm, GemmBackend, PagedConfig, PagedKvCache,
-    TransformerConfig, TransformerModel,
+use pdac_bench::decode::{
+    backend, best, decode_run, feed, interleave, or_exit, per, prompt_tokens, timed, write_bench,
+    DecodeShape, Knobs, BACKENDS,
 };
-use pdac_serve::feedback_embedding;
+use pdac_math::Mat;
+use pdac_nn::{prefix_block_hashes, GemmBackend, PagedConfig, PagedKvCache, TransformerModel};
 use pdac_telemetry::Json;
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Per-step token matrices for `s` sequences sharing the first `shared`
-/// prompt positions; divergent tails and per-sequence rows are seeded
-/// independently.
-fn prompt_tokens(hidden: usize, s: usize, prompt: usize, shared: usize, seed: u64) -> Vec<Mat> {
-    let mut rng = SplitMix64::seed_from_u64(seed);
-    (0..prompt)
-        .map(|t| {
-            if t < shared {
-                let row: Vec<f64> = (0..hidden).map(|_| rng.gen_range_f64(-1.0, 1.0)).collect();
-                Mat::from_fn(s, hidden, |_, c| row[c])
-            } else {
-                Mat::from_fn(s, hidden, |_, _| rng.gen_range_f64(-1.0, 1.0))
-            }
-        })
-        .collect()
-}
-
-/// Feedback rows for the next generated step.
-fn feedback_batch(last: &Mat) -> Mat {
-    let (s, hidden) = (last.rows(), last.cols());
-    let mut data = Vec::with_capacity(s * hidden);
-    for r in 0..s {
-        data.extend(feedback_embedding(last.row_slice(r)));
-    }
-    Mat::from_rows(s, hidden, data).expect("feedback batch")
-}
-
-/// Full-prompt decode through the paged store without prefix sharing;
-/// returns elapsed seconds, the final hidden rows, and the backing bytes.
-fn run_flat(
-    model: &TransformerModel,
-    backend: &dyn GemmBackend,
-    prompt: &[Mat],
-    gen: usize,
-    block: usize,
-) -> (f64, Mat, usize) {
-    let s = prompt[0].rows();
-    let mut cache = PagedKvCache::new(model, s, PagedConfig::new(block));
-    let start = Instant::now();
-    let mut last = model.decode_batch(&prompt[0], &mut cache, backend);
-    for tok in &prompt[1..] {
-        last = model.decode_batch(tok, &mut cache, backend);
-    }
-    for _ in 0..gen {
-        let next = feedback_batch(&last);
-        last = model.decode_batch(&next, &mut cache, backend);
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    (elapsed, last, cache.allocator().backing_bytes())
-}
-
-/// The same workload through the paged cache with prefix sharing: slot 0
-/// decodes the shared prefix once and publishes it, every slot then maps
-/// the published pages and decodes only its divergent tail. Returns
-/// elapsed seconds, the final hidden rows, and the paged backing bytes.
+/// The shared-prefix side: slot 0 decodes the prefix once and publishes
+/// it, every slot maps it and decodes only its tail. Returns seconds,
+/// the final hidden rows and the backing bytes.
 fn run_paged(
     model: &TransformerModel,
     backend: &dyn GemmBackend,
@@ -109,149 +30,77 @@ fn run_paged(
     block: usize,
 ) -> (f64, Mat, usize) {
     let s = prompt[0].rows();
-    let hidden = model.config().hidden;
     let mut cache = PagedKvCache::new(model, s, PagedConfig::new(block));
-    let mut got = Mat::zeros(1, 1);
-    let shared_rows: Vec<Vec<f64>> = prompt[..shared]
-        .iter()
-        .map(|t| t.row_slice(0).to_vec())
-        .collect();
-    let hashes = prefix_block_hashes(shared_rows.iter().map(Vec::as_slice), block);
-    let slots: Vec<usize> = (0..s).collect();
-    let start = Instant::now();
-    // Shared prefix: computed once on slot 0, published, remapped.
-    for tok in &prompt[..shared] {
-        let one = Mat::from_fn(1, hidden, |_, c| tok.row_slice(0)[c]);
-        model.decode_slots(&one, &mut cache, &[0], backend, &mut got);
-    }
-    cache.publish_prefix(0, &hashes);
-    cache.reset_slot(0);
-    for &slot in &slots {
-        let mapped = cache.lookup_prefix(slot, &hashes);
-        assert_eq!(mapped, shared, "published prefix must map fully");
-    }
-    // Divergent tails + generation, batched across all slots.
-    let mut last = Mat::zeros(s, hidden);
-    for tok in &prompt[shared..] {
-        last = model.decode_batch(tok, &mut cache, backend);
-    }
-    for _ in 0..gen {
-        let next = feedback_batch(&last);
-        last = model.decode_batch(&next, &mut cache, backend);
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    let paged_bytes = cache.allocator().backing_bytes();
-    (elapsed, last, paged_bytes)
+    let hashes = prefix_block_hashes(prompt[..shared].iter().map(|t| t.row_slice(0)), block);
+    let (secs, last) = timed(|| {
+        for tok in &prompt[..shared] {
+            model.decode_step(tok.row_slice(0), &mut cache, backend);
+        }
+        cache.publish_prefix(0, &hashes);
+        cache.reset_slot(0);
+        for slot in 0..s {
+            let mapped = cache.lookup_prefix(slot, &hashes);
+            assert_eq!(mapped, shared, "published prefix must map fully");
+        }
+        feed(model, backend, &mut cache, &prompt[shared..], gen)
+    });
+    (secs, last, cache.allocator().backing_bytes())
 }
 
 fn main() {
-    let hidden = env_usize("PDAC_BENCH_KV_HIDDEN", 64);
-    let layers = env_usize("PDAC_BENCH_KV_LAYERS", 2);
-    let heads = env_usize("PDAC_BENCH_KV_HEADS", 4);
-    let batch = env_usize("PDAC_BENCH_KV_BATCH", 8);
-    let prompt_len = env_usize("PDAC_BENCH_KV_PROMPT", 32);
-    let shared = env_usize("PDAC_BENCH_KV_SHARED", 24).min(prompt_len);
-    let gen = env_usize("PDAC_BENCH_KV_TOKENS", 4);
-    let block = env_usize("PDAC_BENCH_KV_BLOCK", 4).max(1);
-    let reps = env_usize("PDAC_BENCH_KV_REPS", 3).max(1);
-    let backend_names =
-        std::env::var("PDAC_BENCH_KV_BACKENDS").unwrap_or_else(|_| "exact,pdac".to_string());
+    let knobs = Knobs::env("PDAC_BENCH_KV");
+    let shape = or_exit(DecodeShape::of([64, 2, 4, 32, 4]).with_knobs(&knobs));
+    let (hidden, prompt_len, gen) = (shape.hidden, shape.prompt, shape.gen);
+    let batch = or_exit(knobs.get("BATCH", 8));
+    let shared = or_exit(knobs.get("SHARED", 24)).min(prompt_len);
+    let block = or_exit(knobs.get("BLOCK", 4)).max(1);
+    let reps = or_exit(knobs.get("REPS", 3)).max(1);
+    let labels = or_exit(knobs.pick("BACKENDS", &BACKENDS));
     let default_run = hidden == 64 && prompt_len == 32 && shared == 24 && batch == 8;
     assert!(
         shared.is_multiple_of(block),
-        "PDAC_BENCH_KV_SHARED must be a multiple of PDAC_BENCH_KV_BLOCK \
-         so the whole prefix is publishable"
+        "SHARED not a multiple of BLOCK"
     );
-
-    let config = TransformerConfig {
-        name: "kv-bench".to_string(),
-        layers,
-        hidden,
-        heads,
-        ff_mult: 4,
-        seq_len: prompt_len + gen,
-    };
-    config.validate().expect("valid bench config");
-    let model = TransformerModel::random(config, 4, 42);
-
-    let backends: Vec<(&str, Box<dyn GemmBackend>)> = vec![
-        ("exact", Box::new(ExactGemm) as Box<dyn GemmBackend>),
-        (
-            "pdac",
-            Box::new(AnalogGemm::new(
-                PDac::with_optimal_approx(8).expect("8-bit pdac"),
-                "pdac-8b",
-            )),
-        ),
-    ]
-    .into_iter()
-    .filter(|(label, _)| backend_names.split(',').any(|b| b.trim() == *label))
-    .collect();
+    let model = shape.model("kv-bench");
 
     let mut records = Vec::new();
-    for (label, backend) in &backends {
+    for label in labels {
+        let backend = backend(label);
+        let backend = backend.as_ref();
         let prompt = prompt_tokens(hidden, batch, prompt_len, shared, 42);
-        // Both sides serve the same work: batch × (prompt + generated)
-        // tokens of completed sequence state.
-        let served_tokens = (batch * (prompt_len + gen)) as f64;
-        // Warm pass primes the weight caches out of the timed region.
-        let _ = run_flat(&model, backend.as_ref(), &prompt, 1.min(gen), block);
-        let _ = run_paged(&model, backend.as_ref(), &prompt, shared, 1.min(gen), block);
-        let mut flat_s = f64::INFINITY;
-        let mut paged_s = f64::INFINITY;
-        let mut flat_bytes = 0usize;
-        let mut paged_bytes = 0usize;
-        for rep in 0..reps {
-            let (run_a, run_b);
-            if rep % 2 == 0 {
-                run_a = run_flat(&model, backend.as_ref(), &prompt, gen, block);
-                run_b = run_paged(&model, backend.as_ref(), &prompt, shared, gen, block);
-            } else {
-                run_b = run_paged(&model, backend.as_ref(), &prompt, shared, gen, block);
-                run_a = run_flat(&model, backend.as_ref(), &prompt, gen, block);
-            }
-            let (fs, flat_last, fb) = run_a;
-            let (ps, paged_last, pb) = run_b;
-            // Paging must be pure data movement: the shared-prefix run
-            // ends on the same bits as the recompute-everything run.
-            let diffs = flat_last
-                .as_slice()
-                .iter()
-                .zip(paged_last.as_slice())
-                .filter(|(x, y)| x.to_bits() != y.to_bits())
-                .count();
-            assert_eq!(
-                diffs, 0,
-                "kv_paged/{label}: shared-prefix run diverged from unshared"
-            );
-            flat_s = flat_s.min(fs);
-            paged_s = paged_s.min(ps);
-            flat_bytes = fb;
-            paged_bytes = pb;
-        }
-        let flat_tps = served_tokens / flat_s.max(1e-12);
-        let paged_tps = served_tokens / paged_s.max(1e-12);
-        let tps_ratio = paged_tps / flat_tps.max(1e-12);
+        // Both sides serve batch × (prompt + generated) tokens.
+        let tokens = (batch * (prompt_len + gen)) as f64;
+        let flat = |gen| decode_run(&model, backend, &prompt, gen, PagedConfig::new(block));
+        let paged = |gen| run_paged(&model, backend, &prompt, shared, gen, block);
+        let _ = (flat(1.min(gen)), paged(1.min(gen))); // untimed warm passes
+        let (mut lasts, mut bytes) = (Vec::new(), [0usize; 2]);
+        let times = interleave(reps, 2, |side| {
+            let (secs, last, b) = if side == 0 { flat(gen) } else { paged(gen) };
+            lasts.push(last);
+            bytes[side] = b;
+            secs
+        });
+        // Paging is pure data movement: every run ends on the same bits.
+        let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let same = lasts.iter().all(|m| bits(m) == bits(&lasts[0]));
+        assert!(same, "kv_paged/{label}: shared-prefix run diverged");
+        let (flat_s, paged_s) = (best(&times[0]), best(&times[1]));
+        let [flat_bytes, paged_bytes] = bytes;
+        let (flat_tps, paged_tps) = (per(tokens, flat_s), per(tokens, paged_s));
+        let tps_ratio = per(paged_tps, flat_tps);
         let bytes_ratio = flat_bytes as f64 / (paged_bytes as f64).max(1.0);
         println!(
             "kv_paged/{label}: flat {flat_tps:>9.1} tok/s / {flat_bytes} B, \
              paged {paged_tps:>9.1} tok/s / {paged_bytes} B, \
              bytes ratio {bytes_ratio:.2}x, tps ratio {tps_ratio:.2}x"
         );
-        if default_run {
-            assert!(
-                bytes_ratio >= 2.0,
-                "kv_paged/{label}: paged cache used more than 0.5x the flat \
-                 bytes ({bytes_ratio:.2}x reduction, floor 2x)"
-            );
-            assert!(
-                tps_ratio >= 0.95,
-                "kv_paged/{label}: paged throughput {tps_ratio:.2}x of flat, \
-                 below the 0.95x floor"
-            );
-        }
+        let floors_met = bytes_ratio >= 2.0 && tps_ratio >= 0.95;
+        assert!(
+            !default_run || floors_met,
+            "{label}: below the 2x bytes / 0.95x tok/s floors"
+        );
         records.push(Json::Obj(vec![
-            ("backend".into(), Json::Str((*label).into())),
+            ("backend".into(), Json::Str(label.into())),
             ("mode".into(), Json::Str("shared_prefix".into())),
             ("batch".into(), Json::Int(batch as u64)),
             ("prompt".into(), Json::Int(prompt_len as u64)),
@@ -259,9 +108,8 @@ fn main() {
             ("block".into(), Json::Int(block as u64)),
             ("flat_s".into(), Json::Num(flat_s)),
             ("paged_s".into(), Json::Num(paged_s)),
-            // Num, not Int: byte footprints are measurements — keeping
-            // them out of the record identity lets allocation-pattern
-            // changes gate on the ratio instead of "missing record".
+            // Num, not Int: byte footprints are measurements, kept out of
+            // the record identity so the gate compares the ratio.
             ("flat_bytes".into(), Json::Num(flat_bytes as f64)),
             ("paged_bytes".into(), Json::Num(paged_bytes as f64)),
             ("flat_tokens_per_s".into(), Json::Num(flat_tps)),
@@ -270,18 +118,7 @@ fn main() {
             ("paged_tps_over_flat".into(), Json::Num(tps_ratio)),
         ]));
     }
-
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::Str("kv_paged".into())),
-        ("hidden".into(), Json::Int(hidden as u64)),
-        ("layers".into(), Json::Int(layers as u64)),
-        ("heads".into(), Json::Int(heads as u64)),
-        ("generated".into(), Json::Int(gen as u64)),
-        ("reps".into(), Json::Int(reps as u64)),
-        ("results".into(), Json::Arr(records)),
-    ]);
-    let out_path = std::env::var("PDAC_BENCH_OUT")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kv.json").into());
-    std::fs::write(&out_path, doc.render() + "\n").expect("write bench json");
-    println!("kv_paged: wrote {out_path}");
+    let mut doc = shape.doc("kv_paged", records);
+    doc.push(("reps".into(), Json::Int(reps as u64)));
+    write_bench("BENCH_kv.json", doc);
 }

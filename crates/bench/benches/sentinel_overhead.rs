@@ -1,227 +1,62 @@
 //! Cost of the analog drift sentinel on the decode hot path: batched
-//! tokens/s through a live P-DAC backend with no tap installed, with
-//! the sentinel sampling at its default rate, and with the sentinel
-//! sampling every operation.
-//!
-//! Emits `BENCH_sentinel.json` (override with `PDAC_BENCH_OUT`) with
-//! one record per mode carrying `tokens_per_s` plus the machine-relative
-//! `sentinel_overhead` fraction (vs the off mode; 0 for off itself)
-//! that the bench-gate regression step bounds. Knobs:
-//! `PDAC_BENCH_SENTINEL_HIDDEN` / `_LAYERS` / `_HEADS` (default
-//! 64/2/4), `_PROMPT` / `_TOKENS` (default 4/60), `_BATCH` (default 8),
-//! `_TRIALS` (default 5), `PDAC_BENCH_SENTINEL_MAX_OVERHEAD` (default
-//! 0.03 — asserted for the default sampling rate at the default batch
-//! of 8; the full-rate mode is informative only).
-//!
-//! Trials are interleaved off→sampled→full; tokens/s is reported from
-//! the best (fastest) run per mode, while the gated overhead fraction
-//! is the *minimum per-trial paired* overhead (each trial compares a
-//! mode against the off run measured moments before it). A real
-//! hot-path regression taxes every trial, including the quietest pair,
-//! so the minimum still catches it — while a single burst of ambient
-//! load on a busy box cannot fail the gate the way a mean or median
-//! can.
+//! tokens/s through a P-DAC backend with no sentinel, with it sampling
+//! at its default rate, and sampling every operation, on a fixed shape
+//! (hidden 64, 2 layers, 4 heads, 4 prompt + 100 generated tokens,
+//! batch 8, 7 alternating trials). Emits `BENCH_sentinel.json` with the
+//! gated `sentinel_overhead` for off and sampled; the default rate must
+//! cost under 3% tokens/s. Full-rate shadowing on a saturated box costs
+//! whatever the scheduler decides (~20–35% on one core): not gated.
 
-use std::time::Instant;
-
-use pdac_math::Mat;
-use pdac_nn::{
-    AnalogGemm, GemmBackend, PagedConfig, PagedKvCache, TransformerConfig, TransformerModel,
+use pdac_bench::decode::{
+    decode_secs, interleave, overhead_records, paired_overhead, prompt_tokens, write_bench,
+    DecodeShape,
 };
-use pdac_serve::feedback_embedding;
-use pdac_telemetry::Json;
-use pdac_verify::sentinel::{Sentinel, SentinelConfig, SentinelHandle};
+use pdac_nn::AnalogGemm;
+use pdac_verify::sentinel::{Sentinel, SentinelConfig, DEFAULT_RATE};
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    Off,
-    Sampled,
-    Full,
-}
-
-impl Mode {
-    fn label(self) -> &'static str {
-        match self {
-            Mode::Off => "off",
-            Mode::Sampled => "sampled",
-            Mode::Full => "full",
-        }
-    }
-
-    fn arm(self) -> Option<SentinelHandle> {
-        let rate = match self {
-            Mode::Off => return None,
-            Mode::Sampled => pdac_verify::sentinel::DEFAULT_RATE,
-            Mode::Full => 1.0,
-        };
-        Some(Sentinel::install(SentinelConfig {
-            rate,
-            ..SentinelConfig::default()
-        }))
-    }
-}
-
-/// Decodes `prompt` + `gen` feedback tokens at batch `s` through
-/// `backend`; returns elapsed seconds.
-fn run(model: &TransformerModel, backend: &dyn GemmBackend, prompt: &[Mat], gen: usize) -> f64 {
-    let s = prompt[0].rows();
-    let hidden = model.config().hidden;
-    let mut batch = PagedKvCache::new(model, s, PagedConfig::default());
-    let start = Instant::now();
-    let mut last = model.decode_batch(&prompt[0], &mut batch, backend);
-    for tok in &prompt[1..] {
-        last = model.decode_batch(tok, &mut batch, backend);
-    }
-    for _ in 0..gen {
-        let mut data = Vec::with_capacity(s * hidden);
-        for r in 0..s {
-            data.extend(feedback_embedding(last.row_slice(r)));
-        }
-        let next = Mat::from_rows(s, hidden, data).expect("feedback batch");
-        last = model.decode_batch(&next, &mut batch, backend);
-    }
-    start.elapsed().as_secs_f64()
-}
+const SHAPE: DecodeShape = DecodeShape::of([64, 2, 4, 4, 100]);
+const BATCH: usize = 8;
+const TRIALS: usize = 7;
+/// Budget for the default-rate overhead fraction.
+const MAX_OVERHEAD: f64 = 0.03;
+const MODES: [&str; 3] = ["off", "sampled", "full"];
+/// Sampling rate per mode (`None` = no sentinel).
+const RATES: [Option<f64>; 3] = [None, Some(DEFAULT_RATE), Some(1.0)];
 
 fn main() {
-    let hidden = env_usize("PDAC_BENCH_SENTINEL_HIDDEN", 64);
-    let layers = env_usize("PDAC_BENCH_SENTINEL_LAYERS", 2);
-    let heads = env_usize("PDAC_BENCH_SENTINEL_HEADS", 4);
-    let prompt_len = env_usize("PDAC_BENCH_SENTINEL_PROMPT", 4);
-    let gen = env_usize("PDAC_BENCH_SENTINEL_TOKENS", 100);
-    let s = env_usize("PDAC_BENCH_SENTINEL_BATCH", 8);
-    let trials = env_usize("PDAC_BENCH_SENTINEL_TRIALS", 7).max(1);
-    let max_overhead = env_f64("PDAC_BENCH_SENTINEL_MAX_OVERHEAD", 0.03);
-
-    let config = TransformerConfig {
-        name: "sentinel-bench".to_string(),
-        layers,
-        hidden,
-        heads,
-        ff_mult: 4,
-        seq_len: prompt_len + gen,
-    };
-    config.validate().expect("valid bench config");
-    let model = TransformerModel::random(config, 4, 42);
-    let backend = AnalogGemm::new(
-        pdac_core::pdac::PDac::with_optimal_approx(8).expect("pdac8"),
-        "pdac8",
-    );
-
-    let mut rng = pdac_math::rng::SplitMix64::seed_from_u64(11);
-    let prompt: Vec<Mat> = (0..prompt_len.max(1))
-        .map(|_| Mat::from_fn(s, hidden, |_, _| rng.gen_range_f64(-1.0, 1.0)))
-        .collect();
-    let total_tokens = (s * (prompt.len() + gen)) as f64;
-
-    let modes = [Mode::Off, Mode::Sampled, Mode::Full];
-    // Metrics stay on for every mode so the only delta is the sentinel.
+    let model = SHAPE.model("sentinel-bench");
+    let pdac = pdac_core::pdac::PDac::with_optimal_approx(8).expect("pdac8");
+    let backend = AnalogGemm::new(pdac, "pdac8");
+    let prompt = prompt_tokens(SHAPE.hidden, BATCH, SHAPE.prompt, 0, 11);
+    // Metrics stay on in every mode so the only delta is the sentinel.
     pdac_telemetry::enable();
     pdac_telemetry::set_tracing(false);
-    // Warm pass (scratch + allocator) outside the timed trials.
-    let _ = run(&model, &backend, &prompt, 1.min(gen));
-
-    let mut best = [f64::INFINITY; 3];
-    let mut elapsed_by_mode = [const { Vec::new() }; 3];
-    for _ in 0..trials {
-        for (i, mode) in modes.iter().enumerate() {
-            let sentinel = mode.arm();
-            let elapsed = run(&model, &backend, &prompt, gen);
-            if let Some(handle) = sentinel {
-                let stats = handle.finish();
-                assert!(
-                    stats.alerts == 0,
-                    "clean pdac8 bench run raised alerts: {stats:?}"
-                );
-            }
-            elapsed_by_mode[i].push(elapsed);
-            if elapsed < best[i] {
-                best[i] = elapsed;
-            }
+    decode_secs(&model, &backend, &prompt, 1); // untimed warm pass
+    let times = interleave(TRIALS, MODES.len(), |i| {
+        let config = |rate| SentinelConfig {
+            rate,
+            ..SentinelConfig::default()
+        };
+        let sentinel = RATES[i].map(|rate| Sentinel::install(config(rate)));
+        let elapsed = decode_secs(&model, &backend, &prompt, SHAPE.gen);
+        if let Some(stats) = sentinel.map(|handle| handle.finish()) {
+            assert!(
+                stats.alerts == 0,
+                "clean pdac8 run raised alerts: {stats:?}"
+            );
         }
-    }
+        elapsed
+    });
     pdac_telemetry::health::reset();
     pdac_telemetry::disable();
 
-    // Paired per-trial overhead vs the off run of the *same* trial,
-    // reduced by minimum: robust to the machine speeding up or slowing
-    // down across the sweep (an intrinsic cost taxes every pair).
-    let paired_overhead = |mode_idx: usize| -> f64 {
-        elapsed_by_mode[mode_idx]
-            .iter()
-            .zip(&elapsed_by_mode[0])
-            .map(|(&m, &off)| (1.0 - off / m.max(1e-12)).max(0.0))
-            .fold(f64::INFINITY, f64::min)
-    };
+    let tokens = (BATCH * (SHAPE.prompt + SHAPE.gen)) as f64;
+    let records = overhead_records("sentinel_overhead", &MODES, 2, &times, tokens, BATCH);
+    let doc = SHAPE.doc("sentinel_overhead", records);
+    write_bench("BENCH_sentinel.json", doc);
 
-    let mut records = Vec::new();
-    let mut sampled_overhead = 0.0;
-    for (i, mode) in modes.iter().enumerate() {
-        let tps = total_tokens / best[i].max(1e-12);
-        let overhead = paired_overhead(i);
-        if *mode == Mode::Sampled {
-            sampled_overhead = overhead;
-        }
-        println!(
-            "sentinel_overhead/{}: {tps:>9.1} tok/s (overhead {:.2}% vs off)",
-            mode.label(),
-            overhead * 100.0
-        );
-        let mut fields = vec![
-            ("mode".into(), Json::Str(mode.label().into())),
-            ("batch".into(), Json::Int(s as u64)),
-            ("elapsed_s".into(), Json::Num(best[i])),
-            ("tokens_per_s".into(), Json::Num(tps)),
-        ];
-        // Full-rate shadowing on a saturated box costs whatever the
-        // scheduler decides that day (~20-35% on one core); only the
-        // default-rate mode carries the gated overhead metric.
-        if *mode != Mode::Full {
-            fields.push(("sentinel_overhead".into(), Json::Num(overhead)));
-        }
-        records.push(Json::Obj(fields));
-    }
-
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::Str("sentinel_overhead".into())),
-        ("hidden".into(), Json::Int(hidden as u64)),
-        ("layers".into(), Json::Int(layers as u64)),
-        ("heads".into(), Json::Int(heads as u64)),
-        ("prompt".into(), Json::Int(prompt.len() as u64)),
-        ("generated".into(), Json::Int(gen as u64)),
-        ("results".into(), Json::Arr(records)),
-    ]);
-    let out_path = std::env::var("PDAC_BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sentinel.json").into()
-    });
-    std::fs::write(&out_path, doc.render() + "\n").expect("write bench json");
-    println!("sentinel_overhead: wrote {out_path}");
-
-    if s == 8 {
-        assert!(
-            sampled_overhead < max_overhead,
-            "default-rate sentinel costs {:.2}% tokens/s at batch {s} (budget {:.2}%)",
-            sampled_overhead * 100.0,
-            max_overhead * 100.0
-        );
-        println!(
-            "sentinel_overhead: default rate {:.2}% < {:.2}% budget OK",
-            sampled_overhead * 100.0,
-            max_overhead * 100.0
-        );
-    }
+    let sampled = paired_overhead(&times[1], &times[0]);
+    let (pct, budget) = (sampled * 100.0, MAX_OVERHEAD * 100.0);
+    assert!(sampled < MAX_OVERHEAD, "default rate costs {pct:.2}%");
+    println!("sentinel_overhead: default rate {pct:.2}% < {budget:.2}% budget OK");
 }

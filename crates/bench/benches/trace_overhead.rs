@@ -1,203 +1,47 @@
 //! Cost of observability on the decode hot path: batched tokens/s with
-//! telemetry fully off, metrics-only (histograms but no span events),
-//! and full tracing (events into the ring).
-//!
-//! Emits `BENCH_trace.json` (override with `PDAC_BENCH_OUT`) with one
-//! record per mode carrying `tokens_per_s`, plus the machine-relative
-//! `trace_overhead` fraction (vs the off mode; 0 for off itself) that
-//! the bench-gate regression step bounds. Knobs:
-//! `PDAC_BENCH_TRACE_HIDDEN` / `_LAYERS` / `_HEADS` (default 128/2/4),
-//! `_PROMPT` / `_TOKENS` (default 4/24), `_BATCH` (default 8),
-//! `_TRIALS` (default 5), `PDAC_BENCH_TRACE_MAX_OVERHEAD` (default
-//! 0.05 — asserted for full tracing only at the default batch of 8).
-//!
-//! Trials are interleaved off→metrics→full; tokens/s is reported from
-//! the best (fastest) run per mode, while the gated overhead fraction
-//! is the *minimum per-trial paired* overhead (each trial compares a
-//! mode against the off run measured moments before it). A real
-//! hot-path regression taxes every trial, including the quietest pair,
-//! so the minimum still catches it — while a single burst of ambient
-//! load on a busy box cannot fail the gate the way a best-vs-best
-//! comparison can.
+//! telemetry off, metrics only (histograms, no span events) and full
+//! tracing, on a fixed shape (hidden 128, 2 layers, 4 heads, 4 prompt +
+//! 24 generated tokens, batch 8, 5 alternating trials). Emits
+//! `BENCH_trace.json` with the gated `trace_overhead` per mode; full
+//! tracing must cost under 5% tokens/s.
 
-use std::time::Instant;
+use pdac_bench::decode::{
+    decode_secs, interleave, overhead_records, paired_overhead, prompt_tokens, write_bench,
+    DecodeShape,
+};
+use pdac_nn::ExactGemm;
 
-use pdac_math::Mat;
-use pdac_nn::{ExactGemm, PagedConfig, PagedKvCache, TransformerConfig, TransformerModel};
-use pdac_serve::feedback_embedding;
-use pdac_telemetry::Json;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    Off,
-    MetricsOnly,
-    Full,
-}
-
-impl Mode {
-    fn label(self) -> &'static str {
-        match self {
-            Mode::Off => "off",
-            Mode::MetricsOnly => "metrics",
-            Mode::Full => "full",
-        }
-    }
-
-    fn apply(self) {
-        match self {
-            Mode::Off => pdac_telemetry::disable(),
-            Mode::MetricsOnly => {
-                pdac_telemetry::enable();
-                pdac_telemetry::set_tracing(false);
-            }
-            Mode::Full => {
-                pdac_telemetry::enable();
-                pdac_telemetry::set_tracing(true);
-            }
-        }
-    }
-}
-
-/// Decodes `prompt` + `gen` feedback tokens at batch `s`; returns
-/// elapsed seconds.
-fn run(model: &TransformerModel, prompt: &[Mat], gen: usize) -> f64 {
-    let s = prompt[0].rows();
-    let hidden = model.config().hidden;
-    let mut batch = PagedKvCache::new(model, s, PagedConfig::default());
-    let start = Instant::now();
-    let mut last = model.decode_batch(&prompt[0], &mut batch, &ExactGemm);
-    for tok in &prompt[1..] {
-        last = model.decode_batch(tok, &mut batch, &ExactGemm);
-    }
-    for _ in 0..gen {
-        let mut data = Vec::with_capacity(s * hidden);
-        for r in 0..s {
-            data.extend(feedback_embedding(last.row_slice(r)));
-        }
-        let next = Mat::from_rows(s, hidden, data).expect("feedback batch");
-        last = model.decode_batch(&next, &mut batch, &ExactGemm);
-    }
-    start.elapsed().as_secs_f64()
-}
+const SHAPE: DecodeShape = DecodeShape::of([128, 2, 4, 4, 24]);
+const BATCH: usize = 8;
+const TRIALS: usize = 5;
+/// Budget for the full-tracing overhead fraction.
+const MAX_OVERHEAD: f64 = 0.05;
+const MODES: [&str; 3] = ["off", "metrics", "full"];
 
 fn main() {
-    let hidden = env_usize("PDAC_BENCH_TRACE_HIDDEN", 128);
-    let layers = env_usize("PDAC_BENCH_TRACE_LAYERS", 2);
-    let heads = env_usize("PDAC_BENCH_TRACE_HEADS", 4);
-    let prompt_len = env_usize("PDAC_BENCH_TRACE_PROMPT", 4);
-    let gen = env_usize("PDAC_BENCH_TRACE_TOKENS", 24);
-    let s = env_usize("PDAC_BENCH_TRACE_BATCH", 8);
-    let trials = env_usize("PDAC_BENCH_TRACE_TRIALS", 5).max(1);
-    let max_overhead = env_f64("PDAC_BENCH_TRACE_MAX_OVERHEAD", 0.05);
-
-    let config = TransformerConfig {
-        name: "trace-bench".to_string(),
-        layers,
-        hidden,
-        heads,
-        ff_mult: 4,
-        seq_len: prompt_len + gen,
-    };
-    config.validate().expect("valid bench config");
-    let model = TransformerModel::random(config, 4, 42);
-
-    let mut rng = pdac_math::rng::SplitMix64::seed_from_u64(11);
-    let prompt: Vec<Mat> = (0..prompt_len.max(1))
-        .map(|_| Mat::from_fn(s, hidden, |_, _| rng.gen_range_f64(-1.0, 1.0)))
-        .collect();
-    let total_tokens = (s * (prompt.len() + gen)) as f64;
-
-    let modes = [Mode::Off, Mode::MetricsOnly, Mode::Full];
-    // Warm pass (scratch + allocator) outside the timed trials.
+    let model = SHAPE.model("trace-bench");
+    let prompt = prompt_tokens(SHAPE.hidden, BATCH, SHAPE.prompt, 0, 11);
+    // A warm pass (scratch + allocator) outside the timed trials.
     pdac_telemetry::disable();
-    let _ = run(&model, &prompt, 1.min(gen));
-
-    let mut best = [f64::INFINITY; 3];
-    let mut elapsed_by_mode = [const { Vec::new() }; 3];
-    for _ in 0..trials {
-        for (i, mode) in modes.iter().enumerate() {
-            mode.apply();
-            let elapsed = run(&model, &prompt, gen);
-            elapsed_by_mode[i].push(elapsed);
-            if elapsed < best[i] {
-                best[i] = elapsed;
-            }
+    decode_secs(&model, &ExactGemm, &prompt, 1);
+    let times = interleave(TRIALS, MODES.len(), |i| {
+        if MODES[i] == "off" {
+            pdac_telemetry::disable();
+        } else {
+            pdac_telemetry::enable();
+            pdac_telemetry::set_tracing(MODES[i] == "full");
         }
-    }
+        decode_secs(&model, &ExactGemm, &prompt, SHAPE.gen)
+    });
     pdac_telemetry::disable();
 
-    // Paired per-trial overhead vs the off run of the *same* trial,
-    // reduced by minimum: robust to the machine speeding up or slowing
-    // down across the sweep (an intrinsic cost taxes every pair).
-    let paired_overhead = |mode_idx: usize| -> f64 {
-        elapsed_by_mode[mode_idx]
-            .iter()
-            .zip(&elapsed_by_mode[0])
-            .map(|(&m, &off)| (1.0 - off / m.max(1e-12)).max(0.0))
-            .fold(f64::INFINITY, f64::min)
-    };
+    let tokens = (BATCH * (SHAPE.prompt + SHAPE.gen)) as f64;
+    let records = overhead_records("trace_overhead", &MODES, 3, &times, tokens, BATCH);
+    let doc = SHAPE.doc("trace_overhead", records);
+    write_bench("BENCH_trace.json", doc);
 
-    let mut records = Vec::new();
-    let mut full_overhead = 0.0;
-    for (i, mode) in modes.iter().enumerate() {
-        let tps = total_tokens / best[i].max(1e-12);
-        let overhead = paired_overhead(i);
-        if *mode == Mode::Full {
-            full_overhead = overhead;
-        }
-        println!(
-            "trace_overhead/{}: {tps:>9.1} tok/s (overhead {:.2}% vs off)",
-            mode.label(),
-            overhead * 100.0
-        );
-        records.push(Json::Obj(vec![
-            ("mode".into(), Json::Str(mode.label().into())),
-            ("batch".into(), Json::Int(s as u64)),
-            ("elapsed_s".into(), Json::Num(best[i])),
-            ("tokens_per_s".into(), Json::Num(tps)),
-            ("trace_overhead".into(), Json::Num(overhead)),
-        ]));
-    }
-
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::Str("trace_overhead".into())),
-        ("hidden".into(), Json::Int(hidden as u64)),
-        ("layers".into(), Json::Int(layers as u64)),
-        ("heads".into(), Json::Int(heads as u64)),
-        ("prompt".into(), Json::Int(prompt.len() as u64)),
-        ("generated".into(), Json::Int(gen as u64)),
-        ("results".into(), Json::Arr(records)),
-    ]);
-    let out_path = std::env::var("PDAC_BENCH_OUT")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trace.json").into());
-    std::fs::write(&out_path, doc.render() + "\n").expect("write bench json");
-    println!("trace_overhead: wrote {out_path}");
-
-    if s == 8 {
-        assert!(
-            full_overhead < max_overhead,
-            "full tracing costs {:.2}% tokens/s at batch {s} (budget {:.2}%)",
-            full_overhead * 100.0,
-            max_overhead * 100.0
-        );
-        println!(
-            "trace_overhead: full tracing {:.2}% < {:.2}% budget OK",
-            full_overhead * 100.0,
-            max_overhead * 100.0
-        );
-    }
+    let full = paired_overhead(&times[2], &times[0]);
+    let (pct, budget) = (full * 100.0, MAX_OVERHEAD * 100.0);
+    assert!(full < MAX_OVERHEAD, "full tracing costs {pct:.2}%");
+    println!("trace_overhead: full tracing {pct:.2}% < {budget:.2}% budget OK");
 }

@@ -3,8 +3,10 @@
 //! and the wall time of one full conformance matrix (what the CI step
 //! pays).
 //!
-//! Emits `BENCH_verify.json` (override the path with `PDAC_BENCH_OUT`).
+//! Emits `BENCH_verify.json` at the repository root (override the path
+//! with `PDAC_BENCH_OUT`).
 
+use pdac_bench::decode::write_bench;
 use pdac_bench::microbench::{bench, black_box, BenchResult};
 use pdac_core::converter::MzmDriver;
 use pdac_core::lut::ConverterLut;
@@ -62,17 +64,11 @@ fn main() {
     });
     records.push(record(&result));
 
-    let out_path =
-        std::env::var("PDAC_BENCH_OUT").unwrap_or_else(|_| "BENCH_verify.json".to_string());
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::Str("verify".into())),
-        ("records".into(), Json::Arr(records)),
-    ]);
-    if let Some(parent) = std::path::Path::new(&out_path).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).expect("create bench artifact dir");
-        }
-    }
-    std::fs::write(&out_path, doc.render()).expect("write bench artifact");
-    println!("verify: wrote {out_path}");
+    write_bench(
+        "BENCH_verify.json",
+        vec![
+            ("bench".into(), Json::Str("verify".into())),
+            ("records".into(), Json::Arr(records)),
+        ],
+    );
 }

@@ -13,15 +13,11 @@
 //!   (`speedup`, `*_over_*`); default 0.35.
 //! * `PDAC_GATE_SLACK` — absolute rise allowed on `*overhead*`
 //!   fractions; default 0.04.
+//!
+//! A malformed knob value exits 2 with a message naming it.
 
+use pdac_bench::decode::{or_exit, Knobs};
 use pdac_bench::gate::gate;
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn load(path: &str) -> pdac_telemetry::Json {
     let text = std::fs::read_to_string(path)
@@ -36,8 +32,9 @@ fn main() {
         eprintln!("usage: bench_gate <baseline.json> <fresh.json> [...more pairs]");
         std::process::exit(2);
     }
-    let tol = env_f64("PDAC_GATE_TOL", 0.35);
-    let slack = env_f64("PDAC_GATE_SLACK", 0.04);
+    let knobs = Knobs::env("PDAC_GATE");
+    let tol = or_exit(knobs.get("TOL", 0.35));
+    let slack = or_exit(knobs.get("SLACK", 0.04));
 
     let mut failed = false;
     for pair in args.chunks(2) {

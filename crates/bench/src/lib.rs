@@ -22,6 +22,7 @@ pub mod ablations;
 pub mod artifacts;
 pub mod bit_error;
 pub mod crosstalk;
+pub mod decode;
 pub mod fidelity;
 pub mod fig11;
 pub mod fig5;

@@ -32,13 +32,11 @@ impl BenchResult {
     }
 }
 
-/// Wall-clock budget per benchmark. Override with `PDAC_BENCH_MS`.
+/// Wall-clock budget per benchmark. Override with `PDAC_BENCH_MS` (a
+/// malformed value exits 2).
 fn budget() -> Duration {
-    let ms = std::env::var("PDAC_BENCH_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(200);
-    Duration::from_millis(ms)
+    let ms = crate::decode::Knobs::env("PDAC_BENCH").get("MS", 200);
+    Duration::from_millis(crate::decode::or_exit(ms))
 }
 
 /// Time `f` in batches until the budget is spent; prints and returns the

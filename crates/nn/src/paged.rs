@@ -22,8 +22,10 @@
 //!   maps the already-computed pages instead of recomputing them.
 //!   Because decode is deterministic, shared pages hold exactly the
 //!   bits a recompute would produce. Entries are evicted
-//!   least-recently-used when an allocation would exceed the budget;
-//!   an evicted prefix is simply recomputed on its next use.
+//!   least-recently-used when an allocation would exceed the budget,
+//!   or, without a budget, when a retirement leaves the index holding
+//!   more pages alone than the slots have ever mapped at once; an
+//!   evicted prefix is simply recomputed on its next use.
 //!
 //! The decode engine reads K/V only through the page-table gathers
 //! (`gather_kt` / `gather_v`, pure data movement), so the row-r ≡
@@ -409,6 +411,9 @@ pub struct PagedKvCache {
     evicted_pages: u64,
     cow_copies: u64,
     over_budget_pages: u64,
+    /// Most page mappings the slots held at once, sampled at
+    /// retirements: the unbudgeted prefix index's bound.
+    slot_pages_peak: usize,
 }
 
 impl PagedKvCache {
@@ -445,6 +450,7 @@ impl PagedKvCache {
             evicted_pages: 0,
             cow_copies: 0,
             over_budget_pages: 0,
+            slot_pages_peak: 0,
         }
     }
 
@@ -687,7 +693,19 @@ impl PagedKvCache {
     /// Releases every page mapped by `slot` and empties its tables
     /// (retirement). Pages shared with other slots or published
     /// prefixes survive with their remaining refcounts.
+    ///
+    /// Without a budget no allocation fails, so [`Self::alloc_page`]
+    /// never evicts; retirement bounds the prefix index instead. LRU
+    /// entries are evicted until the pages only the index holds number
+    /// no more than the most pages the slots have mapped at once, so
+    /// backing memory stays within twice the slots' working set however
+    /// many distinct prompts are published.
     pub fn reset_slot(&mut self, slot: usize) {
+        let bound = self.alloc.budget_bytes().is_none() && !self.prefix.is_empty();
+        if bound {
+            let mapped = self.slots.iter().flatten().map(|lp| lp.pages.len()).sum();
+            self.slot_pages_peak = self.slot_pages_peak.max(mapped);
+        }
         for layer in 0..self.layers {
             let pages = std::mem::take(&mut self.slots[slot][layer].pages);
             for id in pages {
@@ -695,6 +713,7 @@ impl PagedKvCache {
             }
             self.slots[slot][layer].rows = 0;
         }
+        while bound && self.evictable_pages() > self.slot_pages_peak && self.evict_lru_prefix() {}
         self.publish_gauges();
     }
 

@@ -982,6 +982,61 @@ mod tests {
     }
 
     #[test]
+    fn unbudgeted_sharing_server_bounds_its_prefix_index() {
+        // 300 distinct prompts through a prefix-sharing server with no
+        // byte budget: every one is published, none is ever looked up
+        // again. The index must stay within the slots' working set
+        // instead of growing with the request count.
+        let model = tiny_model();
+        let (batch, block, layers) = (4, 2, model.config().layers);
+        let requests: Vec<Request> = (0..300)
+            .map(|i| Request {
+                id: i,
+                prompt: prompt_rows(&model, 3 + (i as usize % 7), 1000 + i),
+                max_new_tokens: 2,
+            })
+            .collect();
+        let run = |mut server: TokenServer| {
+            for r in &requests {
+                server.admit(r.clone());
+            }
+            server.run(&ExactGemm);
+            let mut done = server.take_completions();
+            done.sort_by_key(|c| c.id);
+            let stats = server.kv_stats().expect("every server reports kv stats");
+            (done, stats, server.kv.allocator().backing_bytes())
+        };
+        let (flat, _, _) = run(TokenServer::new(&model, batch));
+        let (paged, stats, backing) = run(TokenServer::new_paged(
+            &model,
+            batch,
+            PagedConfig::new(block),
+        ));
+        // A slot holds at most 9 prompt + 2 generated tokens: 6 pages
+        // per layer; the index may hold as many pages again.
+        let working_set = batch * layers * 6;
+        let page_bytes = 2 * block * model.config().hidden * std::mem::size_of::<f64>();
+        assert!(stats.evicted_pages > 0, "nothing was evicted: {stats:?}");
+        assert!(
+            stats.prefix_entries <= 2 * working_set / layers,
+            "prefix index grew to {} entries",
+            stats.prefix_entries
+        );
+        assert!(
+            backing <= 2 * working_set * page_bytes,
+            "backing grew to {backing} bytes"
+        );
+        assert_eq!(flat.len(), 300);
+        for (f, p) in flat.iter().zip(&paged) {
+            assert_eq!(f.id, p.id);
+            let bits = |c: &Completion| -> Vec<u64> {
+                c.hidden.iter().flatten().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(f), bits(p), "request {} diverged", f.id);
+        }
+    }
+
+    #[test]
     fn kv_budget_defers_admission_until_pages_free() {
         // Budget sized for roughly one request: the second must wait in
         // the queue (serve.kv.defer) instead of blowing the budget, then

@@ -129,7 +129,7 @@ else
     echo "note: python3 unavailable, skipping JSON parse check"
 fi
 
-echo "==> decode bench batch sweep (exact backend: no batch size slower than sequential)"
+echo "==> decode bench batch sweep (exact backend: no batch size >= 2 slower than sequential)"
 PDAC_BENCH_DECODE_HIDDEN=64 PDAC_BENCH_DECODE_LAYERS=2 PDAC_BENCH_DECODE_HEADS=4 \
     PDAC_BENCH_DECODE_PROMPT=2 PDAC_BENCH_DECODE_TOKENS=16 \
     PDAC_BENCH_DECODE_BATCHES=1,4,8,16 PDAC_BENCH_DECODE_BACKENDS=exact \
